@@ -17,6 +17,7 @@ from .families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci, betti_table,
 from .fields import GF, QQ, is_prime
 from .ideals import hilbert_profile, parse_ideal
 from .liaison import bdl_chain
+from .matrices import MAX_MOD_RANK_PRIME
 from .rings import ParseError
 from .sweeps import SWEEP_KINDS, run_sweep
 from .wlp import DEFAULT_SEED, DEFAULT_TRIALS, wlp_check
@@ -124,10 +125,13 @@ def fields_from_chars(chars, parser):
     for ch in chars:
         if ch == 0:
             out.append(QQ)
-        elif is_prime(ch):
-            out.append(GF(ch))
-        else:
+        elif not is_prime(ch):
             parser.error(f"--char {ch} is neither 0 nor prime")
+        elif ch > MAX_MOD_RANK_PRIME:
+            parser.error(f"--char {ch} is too large: ranks mod p need "
+                         "p*p < 2^63")
+        else:
+            out.append(GF(ch))
     return out
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
+from .fields import QQ
 from .matrices import ExactMatrix, det_integer, factor
-from .rings import HomogeneousPolynomial
+from .rings import HomogeneousPolynomial, poly_mul
 
 
 def _hypotheses(alpha: int, beta: int, gamma: int, t: int):
@@ -127,19 +128,6 @@ def vandermonde_determinant_form(num_vars: int) -> HomogeneousPolynomial:
         degree=num_vars * (num_vars - 1) // 2)
 
 
-def _int_poly_mul(a: HomogeneousPolynomial, b: HomogeneousPolynomial):
-    terms: dict = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = terms.get(e, 0) + ca * cb
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-    return HomogeneousPolynomial(a.num_vars, a.degree + b.degree, terms)
-
-
 def _int_linear_all_ones(num_vars: int) -> HomogeneousPolynomial:
     return HomogeneousPolynomial.from_terms(
         num_vars,
@@ -173,11 +161,11 @@ def vandermonde_witness(r: int) -> VandermondeWitness:
     F = vandermonde_determinant_form(n)
     L = _int_linear_all_ones(n)
     product = HomogeneousPolynomial.from_terms(n, {(1,) * n: 1}, degree=n)
-    first = _in_pure_power_ideal(_int_poly_mul(_int_poly_mul(F, product), L), r)
+    first = _in_pure_power_ideal(poly_mul(poly_mul(F, product, QQ), L, QQ), r)
     Lr = HomogeneousPolynomial.from_terms(n, {(0,) * n: 1}, degree=0)
     for _ in range(r):
-        Lr = _int_poly_mul(Lr, L)
-    second = _in_pure_power_ideal(_int_poly_mul(F, Lr), r)
+        Lr = poly_mul(Lr, L, QQ)
+    second = _in_pure_power_ideal(poly_mul(F, Lr, QQ), r)
     nonzero = any(max(e) <= r - 2 for e in F.terms)
     return VandermondeWitness(r, F, first, second, nonzero)
 
@@ -198,9 +186,9 @@ def r4_surjectivity_matrix() -> ExactMatrix:
     two_wxy = poly({(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 1}, 1)
     f4 = poly({(0, 0, 0): 1}, 0)
     for _ in range(4):
-        f4 = _int_poly_mul(f4, two_wxy)
-    wxy_sum = _int_poly_mul(poly({(1, 1, 1): 1}, 3),
-                            poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, 1))
+        f4 = poly_mul(f4, two_wxy, QQ)
+    wxy_sum = poly_mul(poly({(1, 1, 1): 1}, 3),
+                       poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, 1), QQ)
     fs = [poly({(4, 0, 0): 1}, 4), poly({(0, 4, 0): 1}, 4),
           poly({(0, 0, 4): 1}, 4), f4, wxy_sum]
     qs = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]

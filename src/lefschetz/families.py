@@ -228,14 +228,6 @@ def aci3_mod3_obstruction(spec: Aci3) -> bool:
     return total % 3 == 0
 
 
-def alpha_zero_wlp(spec: Aci3) -> bool:
-    """The char-0 WLP guarantee when the mixed generator misses a variable."""
-    spec.validate()
-    if spec.alpha != 0:
-        raise ValueError("alpha must be 0")
-    return True
-
-
 @dataclass
 class LevelAciPredicates:
     semistable: bool

@@ -8,13 +8,15 @@ monomials, so quotient dimensions reduce to counting standard monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .fields import FieldSpec
-from .matrices import clear_denominators, mod_rank, rank_int_rows
+from .matrices import mod_rank, rank_int_rows
 from .rings import (HomogeneousPolynomial, Monomial, degree_monomials,
-                    mono_divides, mono_mul, parse_generators, poly_add,
-                    poly_mul, poly_pow)
+                    parse_generators, poly_add, poly_mul, poly_pow)
 
 
 @dataclass
@@ -23,7 +25,7 @@ class HomogeneousIdeal:
 
     num_vars: int
     generators: list
-    is_monomial: bool = False
+    is_monomial: bool = dfield(init=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -64,11 +66,48 @@ def parse_ideal(text: str, variables, field: FieldSpec) -> HomogeneousIdeal:
 
 
 def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
-    """Degree-d monomials divisible by no generator, canonical order."""
+    """Degree-d monomials divisible by no generator, canonical order.
+
+    A recursion over the exponents, fixed from the first variable on. The
+    exponent of variable i stays below the least i-th exponent of the
+    generators whose support ends at i and whose earlier exponents divide
+    the fixed prefix, so no divisible monomial is ever built.
+    """
+    if num_vars == 0:
+        return [()] if d == 0 and not mono_gens else []
+    # per variable i: the generators' prefixes g[:i+1] with last support i
+    ending = [[] for _ in range(num_vars)]
+    caps = [d] * num_vars  # largest exponents, below the pure powers
+    for g in mono_gens:
+        support = [i for i, a in enumerate(g) if a]
+        if not support:
+            return []  # the unit ideal
+        last = support[-1]
+        if len(support) == 1:
+            caps[last] = min(caps[last], g[last] - 1)
+        else:
+            ending[last].append(g[:last + 1])
+    # room[i]: the most degree variables i.. can still take
+    room = [0] * (num_vars + 1)
+    for i in range(num_vars - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    top = num_vars - 1
     out = []
-    for m in degree_monomials(num_vars, d):
-        if not any(mono_divides(g, m) for g in mono_gens):
-            out.append(m)
+
+    def extend(prefix, i, rest):
+        cap = caps[i]
+        for g in ending[i]:
+            if g[i] <= cap and all(a <= b for a, b in zip(g, prefix)):
+                cap = g[i] - 1
+        if i == top:
+            if rest <= cap:
+                out.append(prefix + (rest,))
+            return
+        for a in range(min(rest, cap), max(0, rest - room[i + 1]) - 1, -1):
+            extend(prefix + (a,), i + 1, rest - a)
+
+    if d <= room[0]:
+        extend((), 0, d)
     return out
 
 
@@ -81,11 +120,13 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
 
 
 class SliceCache:
-    """Per-(ideal, field) cache of degree-slice data.
+    """Per-(ideal, field) cache of degree-slice data: the slice engine.
 
     For each degree d it exposes the standard monomials of the monomial part,
     the slice rows contributed by the non-monomial generators (projected onto
-    those standard monomials), their rank, and the quotient dimension.
+    those standard monomials), their rank, and the quotient dimension. None
+    of these depend on a linear form, so one engine serves the Artinian test,
+    the Hilbert profile, the socle and every form a WLP decision tries.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -130,19 +171,45 @@ class SliceCache:
         if d not in self._rows:
             rows = []
             for g in self.poly_gens:
-                if g.degree > d:
-                    continue
-                for m in degree_monomials(self.I.num_vars, d - g.degree):
-                    row = self.project(g.times_monomial(m), d)
-                    if any(row):
-                        rows.append(self._intify(row))
+                if g.degree <= d:
+                    rows += self.multiple_rows(
+                        g, degree_monomials(self.I.num_vars, d - g.degree), d)
             self._rows[d] = rows
         return self._rows[d]
 
-    def _intify(self, row):
-        if self.field.characteristic == 0:
-            return clear_denominators(row)
-        return row
+    def multiple_rows(self, poly: HomogeneousPolynomial, monomials,
+                      d: int) -> list:
+        """The nonzero rows of poly*m for m in monomials, projected to the
+        degree-d standard monomials, with poly scaled once (see
+        _scaled_terms): the rows span the same space as the unscaled ones."""
+        terms = self._scaled_terms(poly)
+        idx = self.index(d)
+        ncols = len(self.std(d))
+        rows = []
+        for m in monomials:
+            row = None
+            for e, c in terms:
+                i = idx.get(tuple(map(add, m, e)))
+                if i is not None:
+                    if row is None:
+                        row = [0] * ncols
+                    row[i] = c  # distinct terms land on distinct columns
+            if row is not None:
+                rows.append(row)
+        return rows
+
+    def _scaled_terms(self, poly: HomogeneousPolynomial) -> list:
+        """(exponent, coefficient) pairs of a nonzero multiple of poly with
+        integer coefficients: the primitive integer form in char 0, the
+        nonzero residues in char p."""
+        if self.field.characteristic:
+            reduced = [(e, self.field.reduce(c)) for e, c in poly.terms.items()]
+            return [(e, c) for e, c in reduced if c]
+        coeffs = [Fraction(c) for c in poly.terms.values()]
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = gcd(*ints)
+        return [(e, a // g) for e, a in zip(poly.terms, ints)]
 
     def slice_rank(self, d: int) -> int:
         if d not in self._rank:
@@ -204,7 +271,8 @@ class FieldEchelon:
         return len(self.pivots)
 
 
-def is_artinian(I: HomogeneousIdeal, field: FieldSpec | None = None) -> bool:
+def is_artinian(I: HomogeneousIdeal, field: FieldSpec | None = None,
+                cache: SliceCache | None = None) -> bool:
     """Artinian test: pure powers of every variable (monomial route), or a
     vanishing Hilbert slice below the degree cap (general route)."""
     covered = _pure_power_vars(I)
@@ -212,8 +280,7 @@ def is_artinian(I: HomogeneousIdeal, field: FieldSpec | None = None) -> bool:
         return True
     if I.is_monomial:
         return False
-    field = field or FieldSpec(0)
-    cache = SliceCache(I, field)
+    cache = cache or SliceCache(I, field or FieldSpec(0))
     for d in range(1, I.degree_cap() + 1):
         if cache.dim(d) == 0:
             return True
@@ -265,14 +332,14 @@ def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec | None = None,
 
     Field-independent for monomial ideals (standard-monomial counting)."""
     field = field or FieldSpec(0)
-    if not is_artinian(I, field):
+    cache = cache or SliceCache(I, field)
+    if not is_artinian(I, field, cache):
         missing = [i for i, c in enumerate(_pure_power_vars(I)) if not c]
         if I.is_monomial and missing:
             raise NotArtinianError(
                 f"not Artinian: variable index {missing[0]} has no pure power")
         raise NotArtinianError(
             f"not Artinian: no vanishing slice below degree cap {I.degree_cap()}")
-    cache = cache or SliceCache(I, field)
     values = []
     d = 0
     cap = I.degree_cap() + 1
@@ -293,22 +360,24 @@ class SocleReport:
     is_level: bool
 
 
-def socle_report(I: HomogeneousIdeal) -> SocleReport:
+def socle_report(I: HomogeneousIdeal, cache: SliceCache | None = None,
+                 profile: HilbertProfile | None = None) -> SocleReport:
     """Socle of a monomial Artinian quotient: standard monomials killed by
-    every variable."""
+    every variable, that is, m with every m*x_i non-standard.
+
+    A caller that already holds the ideal's slice engine and Hilbert profile
+    passes them in; otherwise both are computed here."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
-    if not is_artinian(I):
-        raise NotArtinianError("not Artinian")
-    gens = I.monomial_generators
+    cache = cache or SliceCache(I, FieldSpec(0))
+    profile = profile or hilbert_profile(I, cache.field, cache)
     r = I.num_vars
-    profile = hilbert_profile(I)
     socle = []
     for d in range(profile.socle_degree + 1):
-        for m in standard_monomial_tuples(gens, r, d):
-            shifts = (mono_mul(m, tuple(1 if j == i else 0 for j in range(r)))
-                      for i in range(r))
-            if all(any(mono_divides(g, s) for g in gens) for s in shifts):
+        above = cache.index(d + 1)
+        for m in cache.std(d):
+            if not any(m[:i] + (m[i] + 1,) + m[i + 1:] in above
+                       for i in range(r)):
                 socle.append(m)
     degrees = sorted(sum(m) for m in socle)
     return SocleReport([Monomial(m) for m in socle], degrees, len(socle),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -22,13 +22,22 @@ from .fields import QQ, FieldSpec, is_prime
 # bound is tight exactly when elimination reaches min(rows, cols).
 _CERT_PRIME = 2**31 - 1
 
+# mod_rank multiplies two residues in np.int64, so it needs p*p < 2^63
+MAX_MOD_RANK_PRIME = isqrt(2**63 - 1)
+
 FACTOR_BOUND = 10**6
 MINOR_COLS_CAP = 28
 MINOR_COUNT_CAP = 10**4
 
 
 def mod_rank(rows, ncols: int, p: int) -> int:
-    """Rank of an integer matrix over F_p (vectorized elimination)."""
+    """Rank of an integer matrix over F_p (vectorized elimination).
+
+    Raises ValueError for p > MAX_MOD_RANK_PRIME, where the int64
+    products would overflow."""
+    if p > MAX_MOD_RANK_PRIME:
+        raise ValueError(f"prime {p} is too large for int64 elimination "
+                         "(need p*p < 2^63)")
     if not rows or ncols == 0:
         return 0
     A = np.array(rows, dtype=np.int64) % p

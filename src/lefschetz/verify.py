@@ -19,7 +19,7 @@ from .ideals import hilbert_profile, parse_ideal, restrict_modulo_linear, socle_
 from .liaison import bdl_chain, ci_hvector, diff_of_hf_check
 from .matrices import gcd_of_maximal_minors
 from .rings import poly_pow
-from .sweeps import level_aci_grid, sweep_injn
+from .sweeps import aci3_grid, level_aci_grid, sweep_injn
 from .wlp import _all_ones, cokernel_dimension, kernel_witness, wlp_check
 
 XYZ = ["x", "y", "z"]
@@ -189,26 +189,19 @@ def criterion_8():
     to 5: every WLP failure has parameter sum divisible by 3, and every
     instance whose mixed generator misses x has the WLP."""
     count = fails = 0
-    for a in range(1, 6):
-        for b in range(1, 6):
-            for c in range(1, 6):
-                for al in range(0, a):
-                    for be in range(0, b):
-                        for ga in range(0, c):
-                            if sum(1 for e in (al, be, ga) if e > 0) < 2:
-                                continue
-                            spec = Aci3(a, b, c, al, be, ga)
-                            v = wlp_check(make_ideal(spec, QQ), QQ)
-                            count += 1
-                            if not v.conclusive:
-                                return False, f"inconclusive at {spec}"
-                            if not v.has_wlp:
-                                fails += 1
-                                total = a + b + c + al + be + ga
-                                if total % 3 != 0:
-                                    return False, f"mod-3 violation at {spec}"
-                            if al == 0 and not v.has_wlp:
-                                return False, f"alpha=0 failure at {spec}"
+    for a, b, c, al, be, ga in aci3_grid(5):
+        spec = Aci3(a, b, c, al, be, ga)
+        v = wlp_check(make_ideal(spec, QQ), QQ)
+        count += 1
+        if not v.conclusive:
+            return False, f"inconclusive at {spec}"
+        if not v.has_wlp:
+            fails += 1
+            total = a + b + c + al + be + ga
+            if total % 3 != 0:
+                return False, f"mod-3 violation at {spec}"
+        if al == 0 and not v.has_wlp:
+            return False, f"alpha=0 failure at {spec}"
     return True, (f"{count} ideals swept; all {fails} failures have "
                   "parameter sum 0 mod 3; all alpha=0 instances have WLP")
 

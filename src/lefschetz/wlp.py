@@ -23,6 +23,9 @@ from .rings import HomogeneousPolynomial, linear_form, poly_mul
 DEFAULT_SEED = 0xC0C0A
 DEFAULT_TRIALS = 5
 _RANDOM_COEFF_RANGE = 100
+# r for which a failure of every recognized special form of the J_r family
+# is proven to be a failure of the WLP (checked against criterion 6)
+_PROVEN_SPECIAL_R = (3, 4)
 
 
 @dataclass
@@ -57,9 +60,9 @@ class WLPVerdict:
 def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
                   field: FieldSpec, cache: SliceCache | None = None) -> dict:
     """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}."""
-    if not is_artinian(I, field):
-        raise NotArtinianError("not Artinian")
     cache = cache or SliceCache(I, field)
+    if not is_artinian(I, field, cache):
+        raise NotArtinianError("not Artinian")
     e = F.degree
     h_d = cache.dim(d)
     h_de = cache.dim(d + e)
@@ -68,14 +71,8 @@ def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
 
 
 def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int) -> int:
-    base = cache.slice_rows(de)
-    rows = list(base)
-    for m in cache.std(d):
-        row = cache.project(F.times_monomial(m), de)
-        if any(row):
-            rows.append(cache._intify(row))
-    ncols = len(cache.std(de))
-    return cache.rank(rows, ncols) - cache.slice_rank(de)
+    rows = cache.slice_rows(de) + cache.multiple_rows(F, cache.std(d), de)
+    return cache.rank(rows, len(cache.std(de))) - cache.slice_rank(de)
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
@@ -121,8 +118,8 @@ def _random_forms(r: int, field: FieldSpec, trials: int, seed: int) -> list:
     return forms
 
 
-def _verdict_for_form(I, field, L, profile, level, full_scan) -> WLPVerdict:
-    cache = SliceCache(I, field)
+def _verdict_for_form(cache, L, profile, level, full_scan) -> WLPVerdict:
+    field = cache.field
     h = profile
     D = h.socle_degree
     if D is None:
@@ -166,11 +163,12 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     strategy: "auto" (all-ones, then recognized special forms, then seeded
     random), "allones", "random", or "explicit" with an explicit form.
     """
-    if not is_artinian(I, field):
-        raise NotArtinianError("not Artinian")
-    profile = hilbert_profile(I, field)
-    level = socle_report(I).is_level if I.is_monomial else False
+    cache = SliceCache(I, field)
+    profile = hilbert_profile(I, field, cache)
+    level = (socle_report(I, cache, profile).is_level if I.is_monomial
+             else False)
 
+    special = []
     if strategy == "explicit":
         if form is None:
             raise ValueError("explicit strategy needs a form")
@@ -182,16 +180,15 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     elif strategy == "random":
         forms = _random_forms(I.num_vars, field, trials, seed)
     elif strategy == "auto":
-        forms = ([_all_ones(I.num_vars, field)]
-                 + _recognized_special_forms(I, field)
+        special = _recognized_special_forms(I, field)
+        forms = ([_all_ones(I.num_vars, field)] + special
                  + _random_forms(I.num_vars, field, trials, seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    special = _recognized_special_forms(I, field)
     verdict = None
     for n, L in enumerate(forms, start=1):
-        verdict = _verdict_for_form(I, field, L, profile, level, full_scan)
+        verdict = _verdict_for_form(cache, L, profile, level, full_scan)
         verdict.forms_tried = n
         if verdict.has_wlp:
             return verdict
@@ -199,7 +196,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     if I.is_monomial and any(L.terms == _all_ones(I.num_vars, field).terms
                              for L in forms):
         verdict.conclusive = True  # all-ones decides monomial ideals
-    elif strategy == "auto" and special:
+    elif special and I.num_vars in _PROVEN_SPECIAL_R:
         verdict.conclusive = True  # the family's proof-backed forms all failed
     else:
         verdict.conclusive = False
@@ -213,10 +210,10 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
 
     The returned element is re-verified: nonzero modulo the degree-d slice,
     with its image inside the degree-(d+1) slice span."""
-    if not is_artinian(I, field):
+    cache = SliceCache(I, field)
+    if not is_artinian(I, field, cache):
         raise NotArtinianError("not Artinian")
     L = form if form is not None else _all_ones(I.num_vars, field)
-    cache = SliceCache(I, field)
     std_d = cache.std(d)
     if not std_d:
         return None

@@ -90,6 +90,13 @@ def test_usage_error_bad_char(capsys):
     assert exc.value.code == 2
 
 
+def test_usage_error_char_too_large_for_int64_ranks(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["wlp", "--gens", "x^2,y^2", "--vars", "x,y",
+              "--char", "2199023255579"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_bad_gens(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--gens", "x^2 +", "--vars", "x,y"])

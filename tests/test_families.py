@@ -2,7 +2,7 @@ import pytest
 
 from lefschetz.families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci,
                                 aci3_metadata, aci3_mod3_obstruction,
-                                alpha_zero_wlp, betti_is_minimal, betti_table,
+                                betti_is_minimal, betti_table,
                                 chain_ideal, general_form, make_ideal,
                                 predicates)
 from lefschetz.fields import QQ
@@ -83,12 +83,6 @@ def test_aci3_metadata_against_socle():
 def test_mod3_obstruction():
     assert aci3_mod3_obstruction(Aci3(3, 3, 3, 1, 1, 1))
     assert not aci3_mod3_obstruction(Aci3(3, 3, 3, 1, 1, 2))
-
-
-def test_alpha_zero():
-    assert alpha_zero_wlp(Aci3(3, 3, 3, 0, 1, 1))
-    with pytest.raises(ValueError):
-        alpha_zero_wlp(Aci3(3, 3, 3, 1, 1, 1))
 
 
 def test_predicates_semistable():

@@ -3,12 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.fields import GF, QQ
-from lefschetz.ideals import (NotArtinianError, SliceCache,
+from lefschetz.ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
                               hilbert_profile, is_artinian, parse_ideal,
                               restrict_modulo_linear, socle_report,
-                              standard_monomials)
+                              standard_monomial_tuples, standard_monomials)
 from lefschetz.liaison import ci_hvector
-from lefschetz.rings import linear_form
+from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
+                            linear_form, mono_divides)
 
 XYZ = ["x", "y", "z"]
 
@@ -20,6 +21,8 @@ def ideal(text, field=QQ, variables=XYZ):
 def test_monomial_flag():
     assert ideal("x^2,y^2,z^2").is_monomial
     assert not ideal("x^2,y^2,z^2,x*y+z^2").is_monomial
+    with pytest.raises(TypeError):  # derived from the generators only
+        HomogeneousIdeal(3, ideal("x*y+z^2").generators, True)
 
 
 def test_is_artinian_pure_powers():
@@ -71,6 +74,77 @@ def test_standard_monomials():
 def test_standard_monomials_requires_monomial_ideal():
     with pytest.raises(ValueError):
         standard_monomials(ideal("x^2,y^2,z^2,x*y+y*z"), 2)
+
+
+def _brute_standard(gens, r, d):
+    return [m for m in degree_monomials(r, d)
+            if not any(mono_divides(g, m) for g in gens)]
+
+
+@st.composite
+def monomial_gens(draw, pure_powers):
+    """Exponent tuples in r = 1..5 variables; with pure_powers, a pure
+    power of every variable comes first."""
+    r = draw(st.integers(1, 5))
+    gens = []
+    if pure_powers:
+        for i in range(r):
+            a = draw(st.integers(1, 5))
+            gens.append(tuple(a if j == i else 0 for j in range(r)))
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * r), max_size=5))
+    return r, gens
+
+
+@given(st.booleans().flatmap(monomial_gens), st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_standard_monomial_tuples_match_divisibility_filter(case, d):
+    r, gens = case
+    assert standard_monomial_tuples(gens, r, d) == _brute_standard(gens, r, d)
+
+
+def test_standard_monomial_tuples_edge_cases():
+    assert standard_monomial_tuples([], 0, 0) == [()]
+    assert standard_monomial_tuples([()], 0, 0) == []
+    assert standard_monomial_tuples([(0, 0)], 2, 1) == []
+    assert standard_monomial_tuples([(2, 0), (0, 2)], 2, 3) == []
+    assert standard_monomial_tuples([], 3, 1) == [(1, 0, 0), (0, 1, 0),
+                                                   (0, 0, 1)]
+
+
+def _ideal_of(r, gens):
+    return HomogeneousIdeal(r, [HomogeneousPolynomial(r, sum(g), {g: 1})
+                                for g in gens if sum(g)])
+
+
+@given(monomial_gens(pure_powers=True))
+@settings(max_examples=50, deadline=None)
+def test_socle_matches_definition(case):
+    # the socle: standard monomials m with m * x_i in I for every i
+    r, gens = case
+    gens = [g for g in gens if sum(g)]
+    I = _ideal_of(r, gens)
+    top = sum(max(g[i] for g in gens) for i in range(r))
+    socle = []
+    for d in range(top + 1):
+        for m in _brute_standard(gens, r, d):
+            shifts = [tuple(a + (j == i) for j, a in enumerate(m))
+                      for i in range(r)]
+            if all(any(mono_divides(g, s) for g in gens) for s in shifts):
+                socle.append(m)
+    degrees = sorted(sum(m) for m in socle)
+    for rep in (socle_report(I),
+                socle_report(I, SliceCache(I, GF(3)))):
+        assert [m.exponents for m in rep.socle_monomials] == socle
+        assert rep.socle_degrees == degrees
+        assert rep.cm_type == len(socle)
+        assert rep.is_level == (len(set(degrees)) <= 1)
+
+
+def test_socle_report_reuses_a_given_profile():
+    I = ideal("x^3,y^3,z^3,x*y*z")
+    cache = SliceCache(I, QQ)
+    profile = hilbert_profile(I, QQ, cache)
+    assert socle_report(I, cache, profile) == socle_report(I)
 
 
 def test_slice_cache_dim_consistency():

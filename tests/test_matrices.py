@@ -3,9 +3,9 @@ import random
 import pytest
 
 from lefschetz.fields import GF, QQ
-from lefschetz.matrices import (ExactMatrix, IntRowEchelon, clear_denominators,
-                                det_cofactor, det_integer, factor,
-                                gcd_of_maximal_minors, mod_rank,
+from lefschetz.matrices import (MAX_MOD_RANK_PRIME, ExactMatrix, IntRowEchelon,
+                                clear_denominators, det_cofactor, det_integer,
+                                factor, gcd_of_maximal_minors, mod_rank,
                                 rank_int_rows, rank_rows)
 
 
@@ -17,6 +17,22 @@ def test_mod_rank_identity():
 def test_mod_rank_dependent_rows():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert mod_rank(rows, 3, 101) == 2
+
+
+def test_mod_rank_rejects_primes_that_overflow_int64():
+    # a 41-bit prime: p*p overflows int64, which used to give wrong ranks
+    with pytest.raises(ValueError):
+        mod_rank([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 2199023255579)
+
+
+def test_mod_rank_exact_at_the_largest_allowed_prime():
+    p = 3037000493  # the largest prime with p*p < 2^63
+    assert p <= MAX_MOD_RANK_PRIME
+    rng = random.Random(4)
+    for _ in range(50):
+        u = [rng.randrange(1, p) for _ in range(3)]
+        v = [rng.randrange(1, p) for _ in range(3)]
+        assert mod_rank([[a * b % p for b in v] for a in u], 3, p) == 1
 
 
 def test_rank_catches_char_p_collapse():

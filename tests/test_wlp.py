@@ -1,10 +1,16 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.families import Jr, make_ideal
 from lefschetz.fields import GF, QQ
-from lefschetz.ideals import hilbert_profile, parse_ideal, restrict_modulo_linear
-from lefschetz.rings import linear_form, poly_pow
+from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
+                              parse_ideal, restrict_modulo_linear)
+from lefschetz.matrices import rank_rows
+from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
+                            linear_form, poly_pow)
 from lefschetz.wlp import (cokernel_dimension, kernel_witness, mult_map_rank,
                            wlp_check)
 
@@ -61,6 +67,14 @@ def test_explicit_form_strategy():
     v = wlp_check(I, f, strategy="explicit", form=L)
     assert not v.has_wlp
     assert not v.conclusive  # a single bad form proves nothing
+
+
+def test_jr5_failure_is_not_conclusive():
+    # only r = 3 and r = 4 of the J_r family are proven (criterion 6)
+    f = GF(2)
+    v = wlp_check(make_ideal(Jr(5), f), f)
+    assert not v.has_wlp
+    assert not v.conclusive
 
 
 def test_explicit_rejects_nonlinear():
@@ -134,3 +148,61 @@ def test_monomial_ci_wlp_char_zero(k):
     # monomial complete intersections have the WLP in characteristic zero
     v = wlp_check(ideal(f"x^{k},y^{k},z^{k}"), QQ)
     assert v.has_wlp and v.conclusive
+
+
+@st.composite
+def map_rank_case(draw):
+    """An Artinian ideal in x, y, z (pure powers, optionally a monomial and
+    a generator of two or three terms), a field, a form F of degree 1 or 2
+    and a degree d. Char-0 coefficients are Fractions with denominators up
+    to 4."""
+    ch = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    field = QQ if ch == 0 else GF(ch)
+
+    def coeff():
+        num = draw(st.integers(-6, 6).filter(lambda c: field.reduce(c)))
+        den = draw(st.integers(1, 4)) if ch == 0 else 1
+        return field.reduce(Fraction(num, den))
+
+    powers = draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))
+    gens = [HomogeneousPolynomial(3, a, {tuple(a if j == i else 0
+                                               for j in range(3)): field.one})
+            for i, a in enumerate(powers)]
+    if draw(st.booleans()):
+        e = tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+        if sum(e):
+            gens.append(HomogeneousPolynomial(3, sum(e), {e: field.one}))
+    if draw(st.booleans()):
+        deg = draw(st.integers(2, 3))
+        monos = draw(st.lists(st.sampled_from(degree_monomials(3, deg)),
+                              min_size=2, max_size=3, unique=True))
+        gens.append(HomogeneousPolynomial(3, deg,
+                                          {m: coeff() for m in monos}))
+    I = HomogeneousIdeal(3, gens)
+    L = linear_form(3, [coeff() for _ in range(3)], field)
+    F = poly_pow(L, draw(st.integers(1, 2)), field)
+    d = draw(st.integers(0, sum(powers) - 3))
+    return I, F, d, field
+
+
+@given(map_rank_case())
+@settings(max_examples=60, deadline=None)
+def test_direct_rows_match_projected_rows(case):
+    # oracle: the rows of F*m and of the non-monomial generators' multiples
+    # as projected polynomials, ranked by rank_rows
+    I, F, d, field = case
+    cache = SliceCache(I, field)
+    de = d + F.degree
+    ncols = len(cache.std(de))
+    base = [cache.project(g.times_monomial(m), de)
+            for g in I.polynomial_generators if g.degree <= de
+            for m in degree_monomials(I.num_vars, de - g.degree)]
+    rows = base + [cache.project(F.times_monomial(m), de)
+                   for m in cache.std(d)]
+    direct = cache.slice_rows(de) + cache.multiple_rows(F, cache.std(d), de)
+    span = rank_rows(rows, ncols, field)
+    # the direct rows span the same space as the projected ones
+    assert rank_rows(direct, ncols, field) == span
+    assert rank_rows(direct + rows, ncols, field) == span
+    assert (mult_map_rank(I, F, d, field)["rank"]
+            == span - rank_rows(base, ncols, field))
