@@ -128,8 +128,8 @@ def fields_from_chars(chars, parser):
         elif not is_prime(ch):
             parser.error(f"--char {ch} is neither 0 nor prime")
         elif ch > MAX_MOD_RANK_PRIME:
-            parser.error(f"--char {ch} is too large: ranks mod p need "
-                         "p*p < 2^63")
+            parser.error(f"--char {ch} is outside the supported range: "
+                         "primes with p*p < 2^63")
         else:
             out.append(GF(ch))
     return out

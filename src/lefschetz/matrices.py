@@ -1,10 +1,11 @@
 """Exact matrix arithmetic: rank over Q and F_p, fraction-free determinants,
 minor gcds, and small-integer factorization.
 
-Rank over the rationals is computed on integer rows (denominators cleared).
-A modular elimination over a fixed 31-bit prime gives a fast certificate
-whenever the rank is full; only rank-deficient matrices fall through to the
-exact integer echelon.
+Ranks over F_p and over Q run on one sparse elimination kernel in Python
+integers. A row is a ``{column: entry}`` dict, reduced against pivots keyed
+by their lead column. Over F_p the pivots are monic residues. Over Q the
+rows are integer (denominators cleared) and the reduction is fraction-free,
+so every rank is exact.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isqrt
 
-import numpy as np
-
 from .fields import QQ, FieldSpec, is_prime
 
-# Any modular rank is a lower bound for the rank over Q; with this prime the
-# bound is tight exactly when elimination reaches min(rows, cols).
+# Unused by the library; it stays bound because the benchmark tracer
+# (wlpbench/tracer.py) names mod_rank spans by it.
 _CERT_PRIME = 2**31 - 1
 
-# mod_rank multiplies two residues in np.int64, so it needs p*p < 2^63
+# The supported range of mod_rank and --char: primes with p*p < 2^63. The
+# kernel is exact for any prime; this is the range the tests cover.
 MAX_MOD_RANK_PRIME = isqrt(2**63 - 1)
 
 FACTOR_BOUND = 10**6
@@ -30,105 +30,126 @@ MINOR_COLS_CAP = 28
 MINOR_COUNT_CAP = 10**4
 
 
-def mod_rank(rows, ncols: int, p: int) -> int:
-    """Rank of an integer matrix over F_p (vectorized elimination).
+def _reduce(row: dict, pivots: dict, p: int) -> dict:
+    """Reduce a sparse row against pivots until its lead column holds none.
 
-    Raises ValueError for p > MAX_MOD_RANK_PRIME, where the int64
-    products would overflow."""
-    if p > MAX_MOD_RANK_PRIME:
-        raise ValueError(f"prime {p} is too large for int64 elimination "
-                         "(need p*p < 2^63)")
-    if not rows or ncols == 0:
-        return 0
-    A = np.array(rows, dtype=np.int64) % p
-    m = A.shape[0]
-    rank = 0
-    for col in range(ncols):
-        if rank == m:
+    ``pivots`` maps a lead column to its pivot, a list of (column, entry)
+    pairs in column order. Returns the remainder, empty exactly when the
+    row lies in the pivots' span. Over F_p (p > 0) the pivots are monic, so
+    a step subtracts c times the pivot, c the row's lead entry. Over Z
+    (p = 0) a step scales the row by a/gcd(a, c), a the pivot's lead entry,
+    and subtracts c/gcd(a, c) times the pivot.
+    """
+    while row:
+        j = min(row)
+        piv = pivots.get(j)
+        if piv is None:
             break
-        nz = np.nonzero(A[rank:, col])[0]
-        if nz.size == 0:
+        c = row[j]
+        if p:
+            for k, v in piv:
+                x = (row.get(k, 0) - c * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
             continue
-        i = rank + int(nz[0])
-        if i != rank:
-            A[[rank, i]] = A[[i, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = A[rank] * inv % p
-        below = np.nonzero(A[rank + 1:, col])[0] + rank + 1
-        if below.size:
-            A[below] = (A[below] - np.outer(A[below, col], A[rank])) % p
-        rank += 1
-    return rank
-
-
-def _primitive(row):
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-        if g == 1:
-            return row
-    if g > 1:
-        return [a // g for a in row]
+        a = piv[0][1]
+        g = gcd(a, c)
+        if a != g:
+            s = a // g
+            row = {k: s * x for k, x in row.items()}
+        t = c // g
+        for k, v in piv:
+            x = row.get(k, 0) - t * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
     return row
+
+
+def _sparse(row, p: int) -> dict:
+    """{column: entry} of a dense row's nonzero entries, as residues when
+    p > 0."""
+    if p:
+        return {j: b for j, a in enumerate(row) if a and (b := a % p)}
+    return {j: a for j, a in enumerate(row) if a}
+
+
+def _pivot(rem: dict, p: int) -> list:
+    """A nonzero remainder as (column, entry) pairs in column order: monic
+    over F_p, primitive over Z."""
+    piv = sorted(rem.items())
+    if p:
+        inv = pow(piv[0][1], -1, p)
+        return [(k, v * inv % p) for k, v in piv]
+    g = gcd(*rem.values())
+    return [(k, v // g) for k, v in piv] if g > 1 else piv
+
+
+def _insert(pivots: dict, row, p: int) -> bool:
+    """Reduce a dense row and store a nonzero remainder as a pivot; returns
+    True if the row raised the rank."""
+    rem = _reduce(_sparse(row, p), pivots, p)
+    if rem:
+        piv = _pivot(rem, p)
+        pivots[piv[0][0]] = piv
+    return bool(rem)
+
+
+def mod_rank(rows, ncols: int, p: int) -> int:
+    """Rank of an integer matrix over F_p.
+
+    Raises ValueError for p > MAX_MOD_RANK_PRIME, outside the supported
+    range."""
+    if p > MAX_MOD_RANK_PRIME:
+        raise ValueError(f"prime {p} is outside the supported range "
+                         "(need p*p < 2^63)")
+    pivots: dict = {}
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        _insert(pivots, row, p)
+    return len(pivots)
 
 
 class IntRowEchelon:
     """Incremental exact row echelon over Z (tracking rank over Q).
 
-    Rows are kept primitive with integer entries; no divisions beyond exact
-    gcd reduction, so the result is exact over the rationals.
+    Pivots are primitive integer rows; the reduction is fraction-free, so
+    the result is exact over the rationals.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict[int, list] = {}  # lead column -> primitive row
+        self.pivots: dict[int, list] = {}  # lead column -> (column, entry) pairs
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _lead(self, row):
-        for j, a in enumerate(row):
-            if a:
-                return j
-        return -1
-
     def reduce(self, row):
-        """Reduce a row against the echelon; returns the (primitive) remainder."""
-        row = list(row)
-        while True:
-            j = self._lead(row)
-            if j < 0 or j not in self.pivots:
-                return _primitive(row) if j >= 0 else row
-            piv = self.pivots[j]
-            a, b = piv[j], row[j]
-            row = [a * x - b * y for x, y in zip(row, piv)]
-            row = _primitive(row)
+        """Reduce a row against the echelon; returns the (primitive) remainder
+        as a dense row, all zero exactly when add() would not raise the rank."""
+        out = [0] * self.ncols
+        rem = _reduce(_sparse(row, 0), self.pivots, 0)
+        for k, v in _pivot(rem, 0) if rem else ():
+            out[k] = v
+        return out
 
     def add(self, row) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        rem = self.reduce(row)
-        j = self._lead(rem)
-        if j < 0:
-            return False
-        self.pivots[j] = rem
-        return True
+        return _insert(self.pivots, row, 0)
 
 
 def rank_int_rows(rows, ncols: int) -> int:
     """Exact rank over Q of integer rows."""
-    rows = [r for r in rows if any(r)]
-    if not rows or ncols == 0:
-        return 0
-    bound = min(len(rows), ncols)
-    r = mod_rank(rows, ncols, _CERT_PRIME)
-    if r == bound:
-        return r
     ech = IntRowEchelon(ncols)
     for row in rows:
-        ech.add(row)
-        if ech.rank == bound:
+        if ech.rank == ncols:
             break
+        ech.add(row)
     return ech.rank
 
 
@@ -145,7 +166,8 @@ def clear_denominators(row):
             out.append(int(a * lcm))
         else:
             out.append(a * lcm)
-    return _primitive(out)
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
 
 
 def rank_rows(rows, ncols: int, field: FieldSpec) -> int:

@@ -6,7 +6,8 @@ rows projected onto the standard monomials of the monomial part of I.
 
 Verdict strategy: for monomial ideals the all-ones form decides the WLP
 (conclusively); otherwise the all-ones form, then recognized special forms,
-then seeded random forms with all coordinates nonzero are tried, and any
+then seeded random forms with all coordinates nonzero are tried, each
+distinct form once (over a small field the candidates repeat), and any
 success certifies the WLP.
 """
 
@@ -187,9 +188,14 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
         raise ValueError(f"unknown strategy {strategy!r}")
 
     verdict = None
-    for n, L in enumerate(forms, start=1):
+    tried = set()
+    for L in forms:
+        key = frozenset(L.terms.items())
+        if key in tried:
+            continue  # the same form again: over a small field draws repeat
+        tried.add(key)
         verdict = _verdict_for_form(cache, L, profile, level, full_scan)
-        verdict.forms_tried = n
+        verdict.forms_tried = len(tried)
         if verdict.has_wlp:
             return verdict
     # every tried form failed

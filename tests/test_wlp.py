@@ -206,3 +206,12 @@ def test_direct_rows_match_projected_rows(case):
     assert rank_rows(direct + rows, ncols, field) == span
     assert (mult_map_rank(I, F, d, field)["rank"]
             == span - rank_rows(base, ncols, field))
+
+
+def test_repeated_forms_are_decided_once():
+    # over GF(2) the 11 candidates for J_4 are only two forms: x_2+x_3+x_4
+    # (the special form 2x_1+x_2+x_3+x_4) and x_1+...+x_4 (every other)
+    field = GF(2)
+    v = wlp_check(make_ideal(Jr(4), field), field)
+    assert v.forms_tried == 2
+    assert not v.has_wlp and v.conclusive
