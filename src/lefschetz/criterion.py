@@ -65,11 +65,6 @@ class CriterionReport:
     det: int
     factors: dict  # {prime: exponent}; empty when det is 0 or +-1
     failing_characteristics: set  # primes p with det = 0 mod p; 0 when det = 0
-    hypotheses_ok: bool
-
-    @property
-    def det_is_zero(self) -> bool:
-        return self.det == 0
 
     def fails_in(self, characteristic: int) -> bool:
         if self.det == 0:
@@ -96,7 +91,7 @@ def criterion_report(alpha: int, beta: int, gamma: int, t: int) -> CriterionRepo
             raise ArithmeticError(f"incomplete factorization of {det}")
         failing = set(factors)
     return CriterionReport(alpha, beta, gamma, t, M.rows, M, det, factors,
-                           failing, True)
+                           failing)
 
 
 def _perm_sign(perm) -> int:

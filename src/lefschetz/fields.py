@@ -42,10 +42,6 @@ class FieldSpec:
         if p != 0 and not is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.characteristic == 0
-
     def reduce(self, c):
         """Bring an integer or Fraction into canonical form for this field."""
         if self.characteristic == 0:

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import add
 
 from .fields import FieldSpec
-from .matrices import mod_rank, rank_int_rows
+from .matrices import IntRowEchelon, mod_rank, rank_int_rows
 from .rings import (HomogeneousPolynomial, Monomial, degree_monomials,
                     parse_generators, poly_add, poly_mul, poly_pow)
 
@@ -34,10 +34,6 @@ class HomogeneousIdeal:
             if g.num_vars != self.num_vars:
                 raise ValueError("generator variable count mismatch")
         self.is_monomial = all(g.is_term for g in self.generators)
-
-    @classmethod
-    def from_generators(cls, num_vars: int, generators) -> "HomogeneousIdeal":
-        return cls(num_vars, list(generators))
 
     @property
     def monomial_generators(self) -> list:
@@ -138,7 +134,7 @@ class SliceCache:
         self._index: dict[int, dict] = {}
         self._rows: dict[int, list] = {}
         self._rank: dict[int, int] = {}
-        self._ech: dict[int, FieldEchelon] = {}
+        self._ech: dict[int, IntRowEchelon] = {}
 
     def std(self, d: int) -> list:
         if d not in self._std:
@@ -225,50 +221,15 @@ class SliceCache:
         """dim (R/I)_d."""
         return len(self.std(d)) - self.slice_rank(d)
 
-    def echelon(self, d: int):
-        """Reduction oracle for membership in the degree-d slice span."""
+    def echelon(self, d: int) -> IntRowEchelon:
+        """Reduction oracle for membership in the degree-d slice span, over
+        the integers in char 0 and over F_p in char p."""
         if d not in self._ech:
-            ech = FieldEchelon(len(self.std(d)), self.field)
+            ech = IntRowEchelon(len(self.std(d)), self.field.characteristic)
             for row in self.slice_rows(d):
                 ech.add(row)
             self._ech[d] = ech
         return self._ech[d]
-
-
-class FieldEchelon:
-    """Reduced row echelon over an arbitrary coefficient field.
-
-    reduce() is linear in its argument (pivot rows are monic and no extra
-    scaling happens), so it is a genuine projection onto a complement of the
-    row span — suitable for membership tests and kernel extraction.
-    """
-
-    def __init__(self, ncols: int, field: FieldSpec):
-        self.ncols = ncols
-        self.field = field
-        self.pivots: dict[int, list] = {}
-
-    def reduce(self, row):
-        f = self.field
-        row = [f.reduce(a) for a in row]
-        for j, piv in sorted(self.pivots.items()):
-            if row[j]:
-                c = row[j]
-                row = [f.sub(a, f.mul(c, b)) for a, b in zip(row, piv)]
-        return row
-
-    def add(self, row) -> bool:
-        row = self.reduce(row)
-        for j, a in enumerate(row):
-            if a:
-                inv = self.field.inv(a)
-                self.pivots[j] = [self.field.mul(x, inv) for x in row]
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.pivots)
 
 
 def is_artinian(I: HomogeneousIdeal, field: FieldSpec | None = None,

@@ -1,21 +1,22 @@
-"""Exact matrix arithmetic: rank over Q and F_p, fraction-free determinants,
-minor gcds, and small-integer factorization.
+"""Exact matrix arithmetic: rank, membership and kernel relations over Q and
+F_p, fraction-free determinants, minor gcds, and small-integer factorization.
 
-Ranks over F_p and over Q run on one sparse elimination kernel in Python
-integers. A row is a ``{column: entry}`` dict, reduced against pivots keyed
-by their lead column. Over F_p the pivots are monic residues. Over Q the
-rows are integer (denominators cleared) and the reduction is fraction-free,
-so every rank is exact.
+Ranks, membership tests and kernel relations over F_p and over Q run on one
+sparse elimination kernel in Python integers. A row is a ``{column: entry}``
+dict, reduced against pivots keyed by their lead column. Over F_p the pivots
+are monic residues. Over Q the rows are integer (denominators cleared) and
+the reduction is fraction-free, so every result is exact. Determinants use
+Bareiss elimination instead, which keeps the sign and scale a rank ignores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isqrt
 
-from .fields import QQ, FieldSpec, is_prime
+from .fields import FieldSpec, is_prime
 
 # Unused by the library; it stays bound because the benchmark tracer
 # (wlpbench/tracer.py) names mod_rank spans by it.
@@ -98,11 +99,17 @@ def _insert(pivots: dict, row, p: int) -> bool:
     return bool(rem)
 
 
+def _require_prime(p: int):
+    if not is_prime(p):
+        raise ValueError(f"modulus must be a prime, got {p}")
+
+
 def mod_rank(rows, ncols: int, p: int) -> int:
     """Rank of an integer matrix over F_p.
 
-    Raises ValueError for p > MAX_MOD_RANK_PRIME, outside the supported
-    range."""
+    Raises ValueError when p is not a prime, and for p > MAX_MOD_RANK_PRIME,
+    outside the supported range."""
+    _require_prime(p)
     if p > MAX_MOD_RANK_PRIME:
         raise ValueError(f"prime {p} is outside the supported range "
                          "(need p*p < 2^63)")
@@ -115,14 +122,18 @@ def mod_rank(rows, ncols: int, p: int) -> int:
 
 
 class IntRowEchelon:
-    """Incremental exact row echelon over Z (tracking rank over Q).
+    """Incremental exact row echelon over Z (tracking rank over Q), or over
+    F_p for a prime p.
 
-    Pivots are primitive integer rows; the reduction is fraction-free, so
-    the result is exact over the rationals.
+    Pivots are primitive integer rows (monic residues over F_p); the
+    reduction is fraction-free, so the result is exact over the rationals.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, p: int = 0):
+        if p:
+            _require_prime(p)
         self.ncols = ncols
+        self.p = p
         self.pivots: dict[int, list] = {}  # lead column -> (column, entry) pairs
 
     @property
@@ -133,14 +144,37 @@ class IntRowEchelon:
         """Reduce a row against the echelon; returns the (primitive) remainder
         as a dense row, all zero exactly when add() would not raise the rank."""
         out = [0] * self.ncols
-        rem = _reduce(_sparse(row, 0), self.pivots, 0)
-        for k, v in _pivot(rem, 0) if rem else ():
+        rem = _reduce(_sparse(row, self.p), self.pivots, self.p)
+        for k, v in _pivot(rem, self.p) if rem else ():
             out[k] = v
         return out
 
     def add(self, row) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        return _insert(self.pivots, row, 0)
+        return _insert(self.pivots, row, self.p)
+
+    def relations(self, rows):
+        """Yield, for each row r_i in the span of the echelon and the earlier
+        rows, an integer vector c (one entry per row) with c_i != 0 and
+        sum_j c_j r_j in the echelon's span. c is supported on i and the
+        earlier rows that raised the rank, so it is unique up to scale.
+
+        Row i carries the tag column ncols + i through the reduction; a
+        remainder whose lead is a tag is a relation. The echelon itself is
+        left unchanged."""
+        n, p = self.ncols, self.p
+        pivots = dict(self.pivots)
+        for i, row in enumerate(rows):
+            rem = _sparse(row, p)
+            rem[n + i] = 1
+            piv = _pivot(_reduce(rem, pivots, p), p)
+            if piv[0][0] < n:
+                pivots[piv[0][0]] = piv
+            else:
+                c = [0] * len(rows)
+                for k, v in piv:
+                    c[k - n] = v
+                yield c
 
 
 def rank_int_rows(rows, ncols: int) -> int:
@@ -179,12 +213,11 @@ def rank_rows(rows, ncols: int, field: FieldSpec) -> int:
 
 @dataclass
 class ExactMatrix:
-    """Dense exact matrix over a FieldSpec (integers/rationals or F_p residues)."""
+    """Dense integer matrix."""
 
     rows: int
     cols: int
     entries: list
-    field: FieldSpec = dfield(default_factory=lambda: QQ)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -193,25 +226,20 @@ class ExactMatrix:
             raise ValueError("entry grid does not match dimensions")
 
     @classmethod
-    def from_rows(cls, entries, field: FieldSpec = QQ) -> "ExactMatrix":
-        entries = [[field.reduce(a) for a in row] for row in entries]
-        return cls(len(entries), len(entries[0]) if entries else 0, entries, field)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           [list(col) for col in zip(*self.entries)] if self.entries else [],
-                           self.field)
-
-
-def rank(m: ExactMatrix) -> int:
-    return rank_rows(m.entries, m.cols, m.field)
+    def from_rows(cls, entries) -> "ExactMatrix":
+        entries = [list(row) for row in entries]
+        for row in entries:
+            for a in row:
+                if not isinstance(a, int):
+                    raise ValueError(f"entry {a!r} is not an integer")
+        return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
 
 def det_integer(m: ExactMatrix) -> int:
     """Exact determinant of an integer matrix by Bareiss elimination."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return _bareiss([list(map(int, row)) for row in m.entries])
+    return _bareiss([row[:] for row in m.entries])
 
 
 def _bareiss(a) -> int:
@@ -295,10 +323,9 @@ def gcd_of_maximal_minors(m: ExactMatrix) -> int:
         raise ValueError(f"cols {m.cols} exceeds cap {MINOR_COLS_CAP}")
     if comb(m.rows, m.cols) > MINOR_COUNT_CAP:
         raise ValueError("too many maximal minors for desk scale")
-    entries = [list(map(int, row)) for row in m.entries]
     g = 0
     for subset in combinations(range(m.rows), m.cols):
-        sub = [entries[i][:] for i in subset]
+        sub = [m.entries[i][:] for i in subset]
         g = gcd(g, abs(_bareiss(sub)))
         if g == 1:
             return 1

@@ -16,10 +16,6 @@ from .fields import FieldSpec
 Expo = tuple  # exponent tuple, one entry per variable
 
 
-def mono_degree(e: Expo) -> int:
-    return sum(e)
-
-
 def mono_mul(a: Expo, b: Expo) -> Expo:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -52,12 +48,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        return mono_divides(self.exponents, other.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(mono_mul(self.exponents, other.exponents))
 
     def format(self, variables) -> str:
         parts = []

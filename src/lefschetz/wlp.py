@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .fields import FieldSpec
 from .ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
                      hilbert_profile, is_artinian, socle_report)
+from .matrices import clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
 DEFAULT_SEED = 0xC0C0A
@@ -223,24 +224,16 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     std_d = cache.std(d)
     if not std_d:
         return None
-    ech_next = cache.echelon(d + 1)
-    columns = []
-    for m in std_d:
-        row = [field.reduce(a) for a in cache.project(L.times_monomial(m), d + 1)]
-        columns.append(ech_next.reduce(row))
-    # solve: find c with sum_m c_m * reduced(L*m) = 0
-    matrix = [[field.reduce(col[i]) for col in columns]
-              for i in range(len(cache.std(d + 1)))]
-    kernel = _nullspace(matrix, len(std_d), field)
+    # row i is L*std_d[i] on the degree-(d+1) standard monomials, zero when
+    # the product lies in the monomial part, so rows stay aligned with std_d
+    zero = [0] * len(cache.std(d + 1))
+    rows = [(cache.multiple_rows(L, [m], d + 1) or [zero])[0] for m in std_d]
     ech_d = cache.echelon(d)
-    for vec in kernel:
+    for vec in cache.echelon(d + 1).relations(rows):
+        if not any(ech_d.reduce(vec)):
+            continue  # lies in the ideal slice: zero in the quotient
         witness = HomogeneousPolynomial.from_terms(
             I.num_vars, {m: c for m, c in zip(std_d, vec) if c}, degree=d)
-        if witness.is_zero:
-            continue
-        coords = [field.reduce(a) for a in cache.project(witness, d)]
-        if not any(ech_d.reduce(coords)):
-            continue  # lies in the ideal slice: zero in the quotient
         witness = _normalize_leading(witness, field)
         _verify_witness(cache, witness, L, d, field)
         return witness
@@ -254,45 +247,20 @@ def _normalize_leading(poly: HomogeneousPolynomial, field: FieldSpec):
 
 
 def _verify_witness(cache: SliceCache, witness, L, d: int, field: FieldSpec):
-    coords = [field.reduce(a) for a in cache.project(witness, d)]
-    if not any(cache.echelon(d).reduce(coords)):
+    """Re-check a witness independently of the rows it was found from: its
+    coordinates and those of L*witness come from project and poly_mul."""
+    if not any(cache.echelon(d).reduce(_coords(cache, witness, d))):
         raise AssertionError("kernel witness lies in the ideal slice")
-    image = [field.reduce(a) for a in cache.project(
-        poly_mul(L, witness, field), d + 1)]
+    image = _coords(cache, poly_mul(L, witness, field), d + 1)
     if any(cache.echelon(d + 1).reduce(image)):
         raise AssertionError("kernel witness image escapes the ideal slice")
 
 
-def _nullspace(rows, ncols: int, field: FieldSpec) -> list:
-    """Nullspace basis of the matrix (rows x ncols) over the field."""
-    rows = [list(r) for r in rows if any(r)]
-    pivots = {}  # col -> normalized row
-    for row in rows:
-        for j, piv in sorted(pivots.items()):
-            if row[j]:
-                c = row[j]
-                row = [field.sub(a, field.mul(c, b)) for a, b in zip(row, piv)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
-            inv = field.inv(row[lead])
-            new = [field.mul(a, inv) for a in row]
-            # keep the pivot rows fully reduced (Gauss-Jordan), so the
-            # free-variable back-substitution below is a direct read-off
-            for other in pivots.values():
-                c = other[lead]
-                if c:
-                    other[:] = [field.sub(a, field.mul(c, b))
-                                for a, b in zip(other, new)]
-            pivots[lead] = new
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for j in pivots:
-            vec[j] = field.neg(pivots[j][f])
-        basis.append(vec)
-    return basis
+def _coords(cache: SliceCache, poly: HomogeneousPolynomial, d: int) -> list:
+    """Coordinates of poly on the degree-d standard monomials, in the
+    echelons' arithmetic: integers in char 0, residues in char p."""
+    row = [cache.field.reduce(a) for a in cache.project(poly, d)]
+    return row if cache.field.characteristic else clear_denominators(row)
 
 
 def cokernel_dimension(I: HomogeneousIdeal, L: HomogeneousPolynomial, d: int,

@@ -97,3 +97,53 @@ def test_reduce_is_zero_exactly_for_members(case, data):
     assert (not any(remainder)) == member
     assert ech.rank == rank  # reduce leaves the echelon as it was
     assert ech.add(row) == (not member)
+
+
+def oracle_nullity(rows, ncols, domain) -> int:
+    """Dimension of {c : sum_j c_j r_j = 0}, the nullspace of the matrix
+    whose columns are the rows."""
+    if not rows:
+        return 0
+    m = domainmatrix.DomainMatrix.from_list(rows, domain).transpose()
+    return m.nullspace().shape[0]
+
+
+def check_relations(case, split, p):
+    """relations() over the rows after `split`, against an echelon of the
+    rows before it: one relation per row that does not raise the rank, each
+    a combination with its own row's coefficient nonzero that reduces to
+    zero, and the echelon left as it was."""
+    rows, ncols = case
+    start, rows = rows[:split], rows[split:]
+    domain = sympy_domains.GF(p) if p else sympy_domains.QQ
+    ech = IntRowEchelon(ncols, p)
+    for row in start:
+        ech.add(row)
+    pivots = {j: list(piv) for j, piv in ech.pivots.items()}
+    rels = list(ech.relations(rows))
+    gain = oracle_rank(start + rows, ncols, domain) - oracle_rank(start, ncols,
+                                                                   domain)
+    assert len(rels) == len(rows) - gain
+    lasts = []  # the highest row each relation uses: its own row
+    for c in rels:
+        assert len(c) == len(rows)
+        lasts.append(max(i for i, x in enumerate(c) if x))
+        combo = [sum(x * r[j] for x, r in zip(c, rows)) for j in range(ncols)]
+        assert not any(ech.reduce(combo))
+    assert lasts == sorted(set(lasts))  # one relation per dependent row
+    assert ech.pivots == pivots  # relations() leaves the echelon unchanged
+    if not start:
+        assert len(rels) == oracle_nullity(rows, ncols, domain)
+
+
+@given(int_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_relations_over_q(case, data):
+    check_relations(case, data.draw(st.integers(0, len(case[0]))), 0)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(case=int_matrices(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_relations_over_fp(p, case, data):
+    check_relations(case, data.draw(st.integers(0, len(case[0]))), p)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,16 @@ def test_mod_rank_rejects_primes_that_overflow_int64():
     # a 41-bit prime: p*p overflows int64, which used to give wrong ranks
     with pytest.raises(ValueError):
         mod_rank([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 2199023255579)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 2**31])
+def test_mod_rank_rejects_non_primes(p):
+    # p = 0 used to give the rank over Q, p = 1 rank 0, p = 4 a pow error
+    with pytest.raises(ValueError, match="must be a prime"):
+        mod_rank([[1, 1], [1, -1]], 2, p)
+    if p:  # IntRowEchelon takes p = 0 for Z
+        with pytest.raises(ValueError, match="must be a prime"):
+            IntRowEchelon(2, p)
 
 
 def test_mod_rank_exact_at_the_largest_allowed_prime():
@@ -62,7 +73,6 @@ def test_echelon_reduce_membership():
 
 
 def test_clear_denominators():
-    from fractions import Fraction
     row = [Fraction(1, 2), Fraction(2, 3), 1]
     assert clear_denominators(row) == [3, 4, 6]
 
@@ -123,6 +133,8 @@ def test_gcd_of_maximal_minors_square():
     assert gcd_of_maximal_minors(m) == 3
 
 
-def test_transpose_roundtrip():
-    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert m.transpose().transpose().entries == m.entries
+def test_exact_matrix_rejects_fractions():
+    # a Fraction entry used to be truncated: det [[1/2]] came out as 0 and
+    # the minor gcd of [[1/2], [3/2]] as 1
+    with pytest.raises(ValueError, match="not an integer"):
+        ExactMatrix.from_rows([[3], [Fraction(1, 2)]])

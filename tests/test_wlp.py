@@ -123,6 +123,23 @@ def test_kernel_witness_char_zero_failure():
     assert w.terms[max(w.terms)] == 1
 
 
+def test_kernel_witness_non_monomial():
+    I = ideal("x^4,y^4,z^4,x*y*z-x^2*y")
+    L = all_ones(3, QQ)
+    # in degree 3 the map on standard monomials has a kernel (10 standard
+    # monomials, rank 9), but it lies in the ideal slice: injective on R/I
+    data = mult_map_rank(I, L, 3, QQ)
+    assert data["rank"] == data["h_d"] == 9
+    assert len(SliceCache(I, QQ).std(3)) == 10
+    assert kernel_witness(I, QQ, 3) is None
+    # in degree 4 the first relation lies in the ideal slice and is skipped
+    w4 = kernel_witness(I, QQ, 4)
+    assert w4.format(["x1", "x2", "x3"]) == \
+        "x1^3*x2 - 1/2*x1^2*x2^2 + 1/4*x1*x2^3"
+    w5 = kernel_witness(I, QQ, 5)
+    assert w5.format(["x1", "x2", "x3"]) == "x1^3*x2^2 - 1/2*x1^2*x2^3"
+
+
 def test_cokernel_matches_restriction():
     I = ideal("x^3,y^3,z^3,x*y*z")
     L = all_ones(3, QQ)
