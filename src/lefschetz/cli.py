@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--char", type=int, action="append", default=None,
                             help="characteristic, 0 or prime (repeatable)")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--csv", action="store_true")
         sp.add_argument("--out")
 
     sp = sub.add_parser("hilbert", help="Hilbert function of an Artinian quotient")

@@ -14,7 +14,8 @@ from math import comb
 
 from .fields import QQ
 from .matrices import ExactMatrix, det_integer, factor
-from .rings import HomogeneousPolynomial, poly_mul
+from .rings import (HomogeneousPolynomial, degree_monomials, linear_form,
+                    poly_mul, poly_pow)
 
 
 def _hypotheses(alpha: int, beta: int, gamma: int, t: int):
@@ -123,14 +124,6 @@ def vandermonde_determinant_form(num_vars: int) -> HomogeneousPolynomial:
         degree=num_vars * (num_vars - 1) // 2)
 
 
-def _int_linear_all_ones(num_vars: int) -> HomogeneousPolynomial:
-    return HomogeneousPolynomial.from_terms(
-        num_vars,
-        {tuple(1 if j == i else 0 for j in range(num_vars)): 1
-         for i in range(num_vars)},
-        degree=1)
-
-
 def _in_pure_power_ideal(poly: HomogeneousPolynomial, k: int) -> bool:
     """Membership in (x_1^k, ..., x_n^k): every surviving term must have some
     exponent >= k, so membership holds iff deleting those terms leaves zero."""
@@ -154,13 +147,10 @@ def vandermonde_witness(r: int) -> VandermondeWitness:
         raise ValueError("r must be in 3..7")
     n = r - 1
     F = vandermonde_determinant_form(n)
-    L = _int_linear_all_ones(n)
-    product = HomogeneousPolynomial.from_terms(n, {(1,) * n: 1}, degree=n)
+    L = linear_form(n, [1] * n, QQ)
+    product = HomogeneousPolynomial.monomial(n, (1,) * n)
     first = _in_pure_power_ideal(poly_mul(poly_mul(F, product, QQ), L, QQ), r)
-    Lr = HomogeneousPolynomial.from_terms(n, {(0,) * n: 1}, degree=0)
-    for _ in range(r):
-        Lr = poly_mul(Lr, L, QQ)
-    second = _in_pure_power_ideal(poly_mul(F, Lr, QQ), r)
+    second = _in_pure_power_ideal(poly_mul(F, poly_pow(L, r, QQ), QQ), r)
     nonzero = any(max(e) <= r - 2 for e in F.terms)
     return VandermondeWitness(r, F, first, second, nonzero)
 
@@ -173,19 +163,11 @@ def r4_surjectivity_matrix() -> ExactMatrix:
     w*x*y*(w+x+y)} and q in {w^2, w*x, x^2, w*y, x*y, y^2}; columns are the
     28 degree-6 monomials in canonical order.
     """
-    from .rings import degree_monomials
-
-    def poly(terms, degree):
-        return HomogeneousPolynomial.from_terms(3, terms, degree=degree)
-
-    two_wxy = poly({(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 1}, 1)
-    f4 = poly({(0, 0, 0): 1}, 0)
-    for _ in range(4):
-        f4 = poly_mul(f4, two_wxy, QQ)
-    wxy_sum = poly_mul(poly({(1, 1, 1): 1}, 3),
-                       poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, 1), QQ)
-    fs = [poly({(4, 0, 0): 1}, 4), poly({(0, 4, 0): 1}, 4),
-          poly({(0, 0, 4): 1}, 4), f4, wxy_sum]
+    f4 = poly_pow(linear_form(3, [2, 1, 1], QQ), 4, QQ)
+    wxy_sum = poly_mul(HomogeneousPolynomial.monomial(3, (1, 1, 1)),
+                       linear_form(3, [1, 1, 1], QQ), QQ)
+    fs = [HomogeneousPolynomial.monomial(3, e)
+          for e in ((4, 0, 0), (0, 4, 0), (0, 0, 4))] + [f4, wxy_sum]
     qs = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     cols = degree_monomials(3, 6)
     idx = {e: i for i, e in enumerate(cols)}
@@ -195,6 +177,6 @@ def r4_surjectivity_matrix() -> ExactMatrix:
             shifted = f.times_monomial(q)
             row = [0] * len(cols)
             for e, c in shifted.terms.items():
-                row[idx[e]] = int(c)
+                row[idx[e]] = c
             rows.append(row)
     return ExactMatrix.from_rows(rows)

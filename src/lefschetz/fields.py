@@ -43,9 +43,10 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
     def reduce(self, c):
-        """Bring an integer or Fraction into canonical form for this field."""
+        """Bring an integer or Fraction into canonical form for this field:
+        unchanged in char 0, a residue in char p."""
         if self.characteristic == 0:
-            return c if isinstance(c, Fraction) else Fraction(c)
+            return c
         p = self.characteristic
         if isinstance(c, Fraction):
             den = c.denominator % p
@@ -54,35 +55,12 @@ class FieldSpec:
             return c.numerator % p * pow(den, p - 2, p) % p
         return c % p
 
-    def add(self, a, b):
-        return a + b if self.characteristic == 0 else (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return a - b if self.characteristic == 0 else (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return a * b if self.characteristic == 0 else a * b % self.characteristic
-
-    def neg(self, a):
-        return -a if self.characteristic == 0 else -a % self.characteristic
-
     def inv(self, a):
         if self.characteristic == 0:
             return Fraction(1) / a
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
 
 
 QQ = FieldSpec(0)

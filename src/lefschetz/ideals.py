@@ -9,12 +9,11 @@ monomials, so quotient dimensions reduce to counting standard monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
-from math import gcd, lcm
 from operator import add
 
 from .fields import FieldSpec
-from .matrices import IntRowEchelon, mod_rank, rank_int_rows
+from .matrices import (IntRowEchelon, clear_denominators, mod_rank,
+                       rank_int_rows)
 from .rings import (HomogeneousPolynomial, Monomial, degree_monomials,
                     parse_generators, poly_add, poly_mul, poly_pow)
 
@@ -154,11 +153,11 @@ class SliceCache:
         the quotient by the monomial sub-ideal.
         """
         idx = self.index(d)
-        row = [self.field.zero] * len(self.std(d))
+        row = [0] * len(self.std(d))
         for e, c in poly.terms.items():
             i = idx.get(e)
             if i is not None:
-                row[i] = self.field.add(row[i], c)
+                row[i] = c  # distinct terms land on distinct columns
         return row
 
     def slice_rows(self, d: int) -> list:
@@ -201,11 +200,7 @@ class SliceCache:
         if self.field.characteristic:
             reduced = [(e, self.field.reduce(c)) for e, c in poly.terms.items()]
             return [(e, c) for e, c in reduced if c]
-        coeffs = [Fraction(c) for c in poly.terms.values()]
-        den = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
-        g = gcd(*ints)
-        return [(e, a // g) for e, a in zip(poly.terms, ints)]
+        return list(zip(poly.terms, clear_denominators(poly.terms.values())))
 
     def slice_rank(self, d: int) -> int:
         if d not in self._rank:
@@ -363,7 +358,7 @@ def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,
         if e == e_pivot:
             continue
         small = _drop_var(e, pivot)
-        subs_terms[small] = field.neg(field.div(c, c_pivot))
+        subs_terms[small] = field.reduce(-c * field.inv(c_pivot))
     subst = HomogeneousPolynomial(r - 1, 1, subs_terms)
 
     new_gens = []

@@ -12,9 +12,8 @@ Bareiss elimination instead, which keeps the sign and scale a rank ignores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .fields import FieldSpec, is_prime
 
@@ -188,18 +187,9 @@ def rank_int_rows(rows, ncols: int) -> int:
 
 
 def clear_denominators(row):
-    """Scale a row of Fractions/ints to a primitive integer row."""
-    lcm = 1
-    for a in row:
-        if isinstance(a, Fraction):
-            d = a.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    out = []
-    for a in row:
-        if isinstance(a, Fraction):
-            out.append(int(a * lcm))
-        else:
-            out.append(a * lcm)
+    """Scale a row of ints/Fractions to a primitive integer row."""
+    den = lcm(*(a.denominator for a in row))
+    out = [a.numerator * (den // a.denominator) for a in row]
     g = gcd(*out)
     return [a // g for a in out] if g > 1 else out
 

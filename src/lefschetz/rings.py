@@ -8,7 +8,6 @@ lexicographic comparison of exponent tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .fields import FieldSpec
@@ -62,9 +61,9 @@ class Monomial:
 class HomogeneousPolynomial:
     """A homogeneous polynomial: a term dict {exponent tuple: nonzero coeff}.
 
-    The zero polynomial carries an explicit degree tag. Coefficients live in
-    the attached field's canonical form (Fraction for char 0, residues for
-    char p).
+    The zero polynomial carries an explicit degree tag. Coefficients are
+    plain Python numbers in the attached field's canonical form: integers in
+    char 0 (a Fraction only where FieldSpec.inv divided), residues in char p.
     """
 
     __slots__ = ("num_vars", "degree", "terms")
@@ -90,7 +89,7 @@ class HomogeneousPolynomial:
 
     @classmethod
     def monomial(cls, num_vars: int, expo: Expo, coeff=1):
-        return cls(num_vars, sum(expo), {tuple(expo): Fraction(coeff)} if coeff else {})
+        return cls(num_vars, sum(expo), {tuple(expo): coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:
@@ -109,7 +108,7 @@ class HomogeneousPolynomial:
             return HomogeneousPolynomial(self.num_vars, self.degree, {})
         return HomogeneousPolynomial(
             self.num_vars, self.degree,
-            {e: field.mul(a, c) for e, a in self.terms.items()})
+            {e: field.reduce(a * c) for e, a in self.terms.items()})
 
     def times_monomial(self, expo: Expo) -> "HomogeneousPolynomial":
         return HomogeneousPolynomial(
@@ -167,7 +166,7 @@ def poly_add(a: HomogeneousPolynomial, b: HomogeneousPolynomial,
         raise ValueError("degree mismatch in sum")
     terms = dict(a.terms)
     for e, c in b.terms.items():
-        s = field.add(terms.get(e, field.zero), c)
+        s = field.reduce(terms.get(e, 0) + c)
         if s:
             terms[e] = s
         else:
@@ -181,7 +180,7 @@ def poly_mul(a: HomogeneousPolynomial, b: HomogeneousPolynomial,
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             e = mono_mul(ea, eb)
-            s = field.add(terms.get(e, field.zero), field.mul(ca, cb))
+            s = field.reduce(terms.get(e, 0) + ca * cb)
             if s:
                 terms[e] = s
             else:
@@ -190,7 +189,7 @@ def poly_mul(a: HomogeneousPolynomial, b: HomogeneousPolynomial,
 
 
 def poly_pow(a: HomogeneousPolynomial, n: int, field: FieldSpec) -> HomogeneousPolynomial:
-    out = HomogeneousPolynomial(a.num_vars, 0, {(0,) * a.num_vars: field.one})
+    out = HomogeneousPolynomial(a.num_vars, 0, {(0,) * a.num_vars: 1})
     for _ in range(n):
         out = poly_mul(out, a, field)
     return out
@@ -258,8 +257,7 @@ class _Parser:
             self.pos += 1
             rhs = self.parse_product()
             if op == "-":
-                rhs = rhs.scaled(-1, self.field) if self.field.characteristic == 0 \
-                    else rhs.scaled(self.field.characteristic - 1, self.field)
+                rhs = rhs.scaled(-1, self.field)
             if poly.is_zero:
                 poly = HomogeneousPolynomial(self.num_vars, rhs.degree, {})
             if rhs.is_zero:
@@ -279,8 +277,7 @@ class _Parser:
             self.pos += 1
             poly = poly_mul(poly, self.parse_factor(), self.field)
         if negate:
-            poly = poly.scaled(-1 if self.field.characteristic == 0
-                               else self.field.characteristic - 1, self.field)
+            poly = poly.scaled(-1, self.field)
         return poly
 
     def parse_factor(self):
@@ -303,7 +300,7 @@ class _Parser:
             i = self.variables.index(name)
             e = self._maybe_power()
             expo = tuple(e if j == i else 0 for j in range(self.num_vars))
-            return HomogeneousPolynomial(self.num_vars, e, {expo: self.field.one})
+            return HomogeneousPolynomial(self.num_vars, e, {expo: 1})
         raise ParseError("expected integer, variable, or '('", self.pos)
 
     def _maybe_power(self) -> int:

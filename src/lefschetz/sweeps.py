@@ -16,7 +16,7 @@ from pathlib import Path
 from .criterion import criterion_report
 from .families import (Aci3, INJN, Irkd, LevelAci, aci3_mod3_obstruction,
                        make_ideal, predicates)
-from .fields import GF, QQ
+from .fields import QQ, FieldSpec
 from .wlp import DEFAULT_SEED, wlp_check
 
 SCHEMA_VERSION = "1"
@@ -30,10 +30,6 @@ ACI3_MAX_POWER = 5
 INJN_MAX_N = 4
 CONJ_WLP_MAX_R = 5
 CONJ_WLP_MAX_K = 5
-
-
-def _field(char: int):
-    return QQ if char == 0 else GF(char)
 
 
 def _base(kind: str, seed: int) -> dict:
@@ -76,7 +72,7 @@ def sweep_half_conj(max_sum: int = 9, tspan: int = 3, chars=(),
                              "twin_peaks_degree": pred.twin_peaks_degree}
         rec["verdicts"] = {}
         for ch in chars:
-            f = _field(ch)
+            f = FieldSpec(ch)
             v = wlp_check(make_ideal(LevelAci(al, be, ga, t), f), f)
             rec["verdicts"][str(ch)] = v.has_wlp
         rec["wall_time"] = round(time.perf_counter() - t0, 6)
@@ -98,7 +94,7 @@ def sweep_conj_wlp_d456(rs=(4, 5), ks=(2, 3, 4, 5), d: int = 4, chars=(0,),
             rec["verdicts"] = {}
             rec["failure_degrees"] = {}
             for ch in chars:
-                f = _field(ch)
+                f = FieldSpec(ch)
                 v = wlp_check(make_ideal(Irkd(r, k, d), f), f)
                 rec["verdicts"][str(ch)] = v.has_wlp
                 rec["failure_degrees"][str(ch)] = v.failure_degrees

@@ -14,7 +14,7 @@ from .criterion import (criterion_report, r4_surjectivity_matrix,
                         vandermonde_witness)
 from .families import (Aci3, Irk, Irkd, Irr, Jr, LevelAci, betti_table,
                        chain_ideal, make_ideal, predicates)
-from .fields import GF, QQ
+from .fields import GF, QQ, FieldSpec
 from .ideals import hilbert_profile, parse_ideal, restrict_modulo_linear, socle_report
 from .liaison import bdl_chain, ci_hvector, diff_of_hf_check
 from .matrices import gcd_of_maximal_minors
@@ -23,10 +23,6 @@ from .sweeps import aci3_grid, level_aci_grid, sweep_injn
 from .wlp import _all_ones, cokernel_dimension, kernel_witness, wlp_check
 
 XYZ = ["x", "y", "z"]
-
-
-def _field(ch: int):
-    return QQ if ch == 0 else GF(ch)
 
 
 def criterion_1():
@@ -40,7 +36,7 @@ def criterion_1():
         if wlp_check(make_ideal(LevelAci(3, 3, 3, 7), f), f).has_wlp:
             return False, f"WLP unexpectedly holds in char {ch}"
     for ch in (0, 5, 7, 13, 17):
-        f = _field(ch)
+        f = FieldSpec(ch)
         if not wlp_check(make_ideal(LevelAci(3, 3, 3, 7), f), f).has_wlp:
             return False, f"WLP unexpectedly fails in char {ch}"
     return True, "det 78408 = 2^3*3^4*11^2; fails exactly in chars {2,3,11}"
@@ -67,7 +63,7 @@ def criterion_3():
     for r in (3, 4, 5):
         for k in (2, 3, 4, 5):
             for ch in (0, 2, 3, 5, 7):
-                f = _field(ch)
+                f = FieldSpec(ch)
                 if not wlp_check(make_ideal(Irkd(r, k, 2), f), f).has_wlp:
                     return False, f"d=2 fails at r={r}, k={k}, char {ch}"
                 v = wlp_check(make_ideal(Irkd(r, k, 3), f), f)
@@ -110,7 +106,7 @@ def criterion_5():
     both membership checks over the integers."""
     for r in (3, 4, 5):
         for ch in (0, 2, 3, 5, 7):
-            f = _field(ch)
+            f = FieldSpec(ch)
             v = wlp_check(make_ideal(Irr(r), f), f)
             if v.has_wlp or comb(r, 2) - 1 not in v.failure_degrees:
                 return False, (f"r={r} char {ch}: verdict {v.has_wlp}, "
@@ -135,12 +131,12 @@ def criterion_6():
     if hj[:7] != (1, 4, 10, 20, 30, 36, 34):
         return False, f"r=4 prefix {hj[:7]}"
     for ch in (0, 2, 3, 5, 7):
-        f = _field(ch)
+        f = FieldSpec(ch)
         v = wlp_check(make_ideal(Jr(3), f), f)
         if v.has_wlp != (ch != 3) or not v.conclusive:
             return False, f"r=3 char {ch}: {v.has_wlp}"
     for ch in (0, 2, 3, 5, 7, 11):
-        f = _field(ch)
+        f = FieldSpec(ch)
         v = wlp_check(make_ideal(Jr(4), f), f)
         if v.has_wlp != (ch not in (2, 5)) or not v.conclusive:
             return False, f"r=4 char {ch}: {v.has_wlp}"
@@ -174,7 +170,7 @@ def criterion_7():
     for al, be, ga, t in level_aci_grid(9, 4):
         rep = criterion_report(al, be, ga, t)
         for ch in (0, 2, 3, 5, 7, 11, 13):
-            f = _field(ch)
+            f = FieldSpec(ch)
             v = wlp_check(make_ideal(LevelAci(al, be, ga, t), f), f)
             if v.has_wlp != (not rep.fails_in(ch)):
                 return False, (f"criterion/oracle mismatch at "
@@ -249,20 +245,15 @@ def criterion_10():
             want = tuple(h) + (0,) * (upto - h.socle_degree)
             if betti_table(Irk(r, k)).alternating_hilbert(r, upto) != want:
                 return False, f"Betti sums wrong for product family r={r} k={k}"
-    for a in range(2, 7):
-        for b in range(a, 7):
-            for c in range(b, 7):
-                for al in range(0, a):
-                    for be in range(0, b):
-                        for ga in range(0, c):
-                            if sum(1 for e in (al, be, ga) if e > 0) < 2:
-                                continue
-                            spec = Aci3(a, b, c, al, be, ga)
-                            h = hilbert_profile(make_ideal(spec, QQ))
-                            upto = h.socle_degree + 2
-                            want = tuple(h) + (0,) * (upto - h.socle_degree)
-                            if betti_table(spec).alternating_hilbert(3, upto) != want:
-                                return False, f"Betti sums wrong at {spec}"
+    for a, b, c, al, be, ga in aci3_grid(6):
+        if not 2 <= a <= b <= c:
+            continue
+        spec = Aci3(a, b, c, al, be, ga)
+        h = hilbert_profile(make_ideal(spec, QQ))
+        upto = h.socle_degree + 2
+        want = tuple(h) + (0,) * (upto - h.socle_degree)
+        if betti_table(spec).alternating_hilbert(3, upto) != want:
+            return False, f"Betti sums wrong at {spec}"
     return True, "midpoint lemma s=2..8; twin peaks on full grid; Betti sums exact"
 
 
@@ -294,7 +285,7 @@ def criterion_12():
 
     for spec in (LevelAci(1, 2, 3, 3), LevelAci(2, 2, 2, 4), Irk(3, 4)):
         for ch in (0, 2, 7):
-            f = _field(ch)
+            f = FieldSpec(ch)
             I = make_ideal(spec, f)
             fast = wlp_check(I, f)
             slow = wlp_check(I, f, full_scan=True)

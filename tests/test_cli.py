@@ -97,6 +97,13 @@ def test_usage_error_char_too_large_for_int64_ranks(capsys):
     assert exc.value.code == 2
 
 
+def test_csv_flag_rejected(capsys):
+    # --json is the only output switch; --csv was accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--gens", "x^2,y^2", "--vars", "x,y", "--csv"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_bad_gens(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--gens", "x^2 +", "--vars", "x,y"])

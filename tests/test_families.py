@@ -5,7 +5,7 @@ from lefschetz.families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci,
                                 betti_is_minimal, betti_table,
                                 chain_ideal, general_form, make_ideal,
                                 predicates)
-from lefschetz.fields import QQ
+from lefschetz.fields import GF, QQ
 from lefschetz.ideals import hilbert_profile, socle_report
 
 
@@ -161,3 +161,13 @@ def test_betti_minimality_flag():
 def test_betti_table_unavailable():
     with pytest.raises(ValueError):
         betti_table(INJN(2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=str)
+@pytest.mark.parametrize("spec", [
+    Irkd(4, 3, 2), Irk(3, 4), Irr(4), Jr(3), Jr(4), Aci3(3, 4, 5, 1, 2, 0),
+    LevelAci(2, 2, 2, 3), INJN(3), INJN(3, "general", 1)], ids=str)
+def test_generator_coefficients_are_ints(spec, field):
+    # char-0 coefficients are Python integers, char-p ones residues
+    for g in make_ideal(spec, field).generators:
+        assert all(type(c) is int for c in g.terms.values()), g

@@ -221,3 +221,11 @@ def test_socle_type_matches_inverse_system_count(a, b, c):
 def test_zero_generator_rejected():
     with pytest.raises(ValueError):
         parse_ideal("x^2,2*y^2", XYZ, GF(2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=str)
+def test_parsed_coefficients_are_ints(field):
+    I = parse_ideal("2*x*y-3*y^2, x^3, -y^3+(x-2*y)^3, z^2", ["x", "y", "z"],
+                    field)
+    for g in I.generators:
+        assert all(type(c) is int for c in g.terms.values()), g

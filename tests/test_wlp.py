@@ -183,12 +183,12 @@ def map_rank_case(draw):
 
     powers = draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))
     gens = [HomogeneousPolynomial(3, a, {tuple(a if j == i else 0
-                                               for j in range(3)): field.one})
+                                               for j in range(3)): 1})
             for i, a in enumerate(powers)]
     if draw(st.booleans()):
         e = tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
         if sum(e):
-            gens.append(HomogeneousPolynomial(3, sum(e), {e: field.one}))
+            gens.append(HomogeneousPolynomial(3, sum(e), {e: 1}))
     if draw(st.booleans()):
         deg = draw(st.integers(2, 3))
         monos = draw(st.lists(st.sampled_from(degree_monomials(3, deg)),
