@@ -12,8 +12,7 @@ from dataclasses import dataclass, field as dfield
 from operator import add
 
 from .fields import FieldSpec
-from .matrices import (IntRowEchelon, clear_denominators, mod_rank,
-                       rank_int_rows)
+from .matrices import IntRowEchelon, clear_denominators
 from .rings import (HomogeneousPolynomial, Monomial, degree_monomials,
                     parse_generators, poly_add, poly_mul, poly_pow)
 
@@ -119,7 +118,7 @@ class SliceCache:
 
     For each degree d it exposes the standard monomials of the monomial part,
     the slice rows contributed by the non-monomial generators (projected onto
-    those standard monomials), their rank, and the quotient dimension. None
+    those standard monomials), their echelon, and the quotient dimension. None
     of these depend on a linear form, so one engine serves the Artinian test,
     the Hilbert profile, the socle and every form a WLP decision tries.
     """
@@ -131,8 +130,6 @@ class SliceCache:
         self.poly_gens = I.polynomial_generators
         self._std: dict[int, list] = {}
         self._index: dict[int, dict] = {}
-        self._rows: dict[int, list] = {}
-        self._rank: dict[int, int] = {}
         self._ech: dict[int, IntRowEchelon] = {}
 
     def std(self, d: int) -> list:
@@ -161,35 +158,32 @@ class SliceCache:
         return row
 
     def slice_rows(self, d: int) -> list:
-        """Integer (char 0) or residue (char p) rows spanning the non-monomial
-        part of the ideal slice in degree d, projected to standard monomials."""
-        if d not in self._rows:
-            rows = []
-            for g in self.poly_gens:
-                if g.degree <= d:
-                    rows += self.multiple_rows(
-                        g, degree_monomials(self.I.num_vars, d - g.degree), d)
-            self._rows[d] = rows
-        return self._rows[d]
+        """Sparse integer (char 0) or residue (char p) rows spanning the
+        non-monomial part of the ideal slice in degree d, projected to
+        standard monomials."""
+        rows = []
+        for g in self.poly_gens:
+            if g.degree <= d:
+                rows += self.multiple_rows(
+                    g, degree_monomials(self.I.num_vars, d - g.degree), d)
+        return rows
 
     def multiple_rows(self, poly: HomogeneousPolynomial, monomials,
                       d: int) -> list:
-        """The nonzero rows of poly*m for m in monomials, projected to the
-        degree-d standard monomials, with poly scaled once (see
-        _scaled_terms): the rows span the same space as the unscaled ones."""
+        """The nonzero rows of poly*m for m in monomials, in that order, as
+        {column: entry} dicts on the degree-d standard monomials, with poly
+        scaled once (see _scaled_terms): the rows span the same space as the
+        unscaled ones."""
         terms = self._scaled_terms(poly)
         idx = self.index(d)
-        ncols = len(self.std(d))
         rows = []
         for m in monomials:
-            row = None
+            row = {}
             for e, c in terms:
                 i = idx.get(tuple(map(add, m, e)))
                 if i is not None:
-                    if row is None:
-                        row = [0] * ncols
                     row[i] = c  # distinct terms land on distinct columns
-            if row is not None:
+            if row:
                 rows.append(row)
         return rows
 
@@ -202,27 +196,17 @@ class SliceCache:
             return [(e, c) for e, c in reduced if c]
         return list(zip(poly.terms, clear_denominators(poly.terms.values())))
 
-    def slice_rank(self, d: int) -> int:
-        if d not in self._rank:
-            self._rank[d] = self.rank(self.slice_rows(d), len(self.std(d)))
-        return self._rank[d]
-
-    def rank(self, rows, ncols: int) -> int:
-        if self.field.characteristic == 0:
-            return rank_int_rows(rows, ncols)
-        return mod_rank(rows, ncols, self.field.characteristic)
-
     def dim(self, d: int) -> int:
         """dim (R/I)_d."""
-        return len(self.std(d)) - self.slice_rank(d)
+        return len(self.std(d)) - self.echelon(d).rank
 
     def echelon(self, d: int) -> IntRowEchelon:
-        """Reduction oracle for membership in the degree-d slice span, over
-        the integers in char 0 and over F_p in char p."""
+        """Echelon of the degree-d slice rows: the slice rank, and the
+        reduction oracle for membership in the slice span, over the integers
+        in char 0 and over F_p in char p. Callers copy it before adding."""
         if d not in self._ech:
             ech = IntRowEchelon(len(self.std(d)), self.field.characteristic)
-            for row in self.slice_rows(d):
-                ech.add(row)
+            ech.extend(self.slice_rows(d))
             self._ech[d] = ech
         return self._ech[d]
 
@@ -345,7 +329,9 @@ def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,
     """Image of I in R/(L) = K[x_1,..,x_r minus the pivot variable].
 
     The pivot variable is eliminated by solving L = 0; generators are
-    re-expanded, normalized monic, and zero generators dropped.
+    re-expanded and zero generators dropped. Each is normalized to lead
+    coefficient 1 in char p, and in char 0 to its primitive integer form
+    with a positive lead coefficient.
     """
     r = I.num_vars
     e_pivot = tuple(1 if j == pivot else 0 for j in range(r))
@@ -370,9 +356,12 @@ def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,
                 r - 1, {_drop_var(e, pivot): field.reduce(c)}, degree=g.degree - k)
             term = poly_mul(base, poly_pow(subst, k, field), field)
             out = poly_add(out, term, field)
-        out = out.reduced(field)
+        out = out.reduced(field).monic(field)
+        if field.characteristic == 0:
+            out = HomogeneousPolynomial(r - 1, g.degree, dict(
+                zip(out.terms, clear_denominators(out.terms.values()))))
         if not out.is_zero:
-            new_gens.append(out.monic(field))
+            new_gens.append(out)
     return HomogeneousIdeal(r - 1, new_gens)
 
 

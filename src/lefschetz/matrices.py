@@ -2,20 +2,30 @@
 F_p, fraction-free determinants, minor gcds, and small-integer factorization.
 
 Ranks, membership tests and kernel relations over F_p and over Q run on one
-sparse elimination kernel in Python integers. A row is a ``{column: entry}``
-dict, reduced against pivots keyed by their lead column. Over F_p the pivots
-are monic residues. Over Q the rows are integer (denominators cleared) and
-the reduction is fraction-free, so every result is exact. Determinants use
-Bareiss elimination instead, which keeps the sign and scale a rank ignores.
+sparse elimination kernel in Python integers. A row is a dense sequence or
+a ``{column: int}`` dict, the form the slice engine emits; either is read
+into a new dict of its nonzero entries (residues over F_p). Rows are
+reduced against pivots keyed by their lead column, the least column with a
+nonzero entry: monic residues over F_p, and over Q integer rows (with
+denominators cleared) under a fraction-free reduction, so every result is
+exact. Determinants use Bareiss elimination instead, which keeps the sign
+and scale a rank ignores.
+
+Rows are reduced in the order they arrive, and a row whose lead column
+holds no entry of the rows before it becomes a pivot unreduced, so the
+insertion order sets the fill (``wlp._map_rank`` states its order). The
+kernel mutates neither a row it is given nor a stored pivot.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
 
-from .fields import FieldSpec, is_prime
+from .fields import is_prime
 
 # Unused by the library; it stays bound because the benchmark tracer
 # (wlpbench/tracer.py) names mod_rank spans by it.
@@ -70,11 +80,12 @@ def _reduce(row: dict, pivots: dict, p: int) -> dict:
 
 
 def _sparse(row, p: int) -> dict:
-    """{column: entry} of a dense row's nonzero entries, as residues when
-    p > 0."""
+    """A new {column: entry} dict of a row's nonzero entries, as residues
+    when p > 0, from a dense row or a {column: entry} dict."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
     if p:
-        return {j: b for j, a in enumerate(row) if a and (b := a % p)}
-    return {j: a for j, a in enumerate(row) if a}
+        return {j: b for j, a in items if a and (b := a % p)}
+    return {j: a for j, a in items if a}
 
 
 def _pivot(rem: dict, p: int) -> list:
@@ -86,16 +97,6 @@ def _pivot(rem: dict, p: int) -> list:
         return [(k, v * inv % p) for k, v in piv]
     g = gcd(*rem.values())
     return [(k, v // g) for k, v in piv] if g > 1 else piv
-
-
-def _insert(pivots: dict, row, p: int) -> bool:
-    """Reduce a dense row and store a nonzero remainder as a pivot; returns
-    True if the row raised the rank."""
-    rem = _reduce(_sparse(row, p), pivots, p)
-    if rem:
-        piv = _pivot(rem, p)
-        pivots[piv[0][0]] = piv
-    return bool(rem)
 
 
 def _require_prime(p: int):
@@ -112,12 +113,7 @@ def mod_rank(rows, ncols: int, p: int) -> int:
     if p > MAX_MOD_RANK_PRIME:
         raise ValueError(f"prime {p} is outside the supported range "
                          "(need p*p < 2^63)")
-    pivots: dict = {}
-    for row in rows:
-        if len(pivots) == ncols:
-            break
-        _insert(pivots, row, p)
-    return len(pivots)
+    return IntRowEchelon(ncols, p).extend(rows)
 
 
 class IntRowEchelon:
@@ -139,6 +135,13 @@ class IntRowEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def copy(self) -> "IntRowEchelon":
+        """An echelon to add rows to without changing this one; it shares
+        the stored pivot lists, which are never mutated."""
+        ech = copy(self)
+        ech.pivots = dict(self.pivots)
+        return ech
+
     def reduce(self, row):
         """Reduce a row against the echelon; returns the (primitive) remainder
         as a dense row, all zero exactly when add() would not raise the rank."""
@@ -150,7 +153,19 @@ class IntRowEchelon:
 
     def add(self, row) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        return _insert(self.pivots, row, self.p)
+        rem = _reduce(_sparse(row, self.p), self.pivots, self.p)
+        if rem:
+            piv = _pivot(rem, self.p)
+            self.pivots[piv[0][0]] = piv
+        return bool(rem)
+
+    def extend(self, rows) -> int:
+        """Add rows in order until the rank is full; returns the rank."""
+        for row in rows:
+            if self.rank == self.ncols:
+                break
+            self.add(row)
+        return self.rank
 
     def relations(self, rows):
         """Yield, for each row r_i in the span of the echelon and the earlier
@@ -178,27 +193,21 @@ class IntRowEchelon:
 
 def rank_int_rows(rows, ncols: int) -> int:
     """Exact rank over Q of integer rows."""
-    ech = IntRowEchelon(ncols)
-    for row in rows:
-        if ech.rank == ncols:
-            break
-        ech.add(row)
-    return ech.rank
+    return IntRowEchelon(ncols).extend(rows)
 
 
 def clear_denominators(row):
-    """Scale a row of ints/Fractions to a primitive integer row."""
+    """Scale a row of ints/Fractions to a primitive integer row.
+
+    A mapping, such as a sparse {column: entry} row, raises TypeError:
+    iterating it would read its keys as the entries."""
+    if isinstance(row, Mapping):
+        raise TypeError("clear_denominators takes a sequence of entries, "
+                        "not a mapping")
     den = lcm(*(a.denominator for a in row))
     out = [a.numerator * (den // a.denominator) for a in row]
     g = gcd(*out)
     return [a // g for a in out] if g > 1 else out
-
-
-def rank_rows(rows, ncols: int, field: FieldSpec) -> int:
-    """Rank of rows (entries in the given field) over that field."""
-    if field.characteristic == 0:
-        return rank_int_rows([clear_denominators(r) for r in rows], ncols)
-    return mod_rank(rows, ncols, field.characteristic)
 
 
 @dataclass
@@ -257,22 +266,6 @@ def _bareiss(a) -> int:
             ai[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
-
-
-def det_cofactor(entries) -> int:
-    """Cofactor-expansion determinant; independent oracle for small matrices."""
-    n = len(entries)
-    if n == 0:
-        return 1
-    if n == 1:
-        return entries[0][0]
-    total = 0
-    for j in range(n):
-        if entries[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        total += (-1) ** j * entries[0][j] * det_cofactor(minor)
-    return total
 
 
 def factor(n: int):

@@ -19,11 +19,6 @@ def mono_mul(a: Expo, b: Expo) -> Expo:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Expo, b: Expo) -> bool:
-    """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=None)
 def degree_monomials(num_vars: int, d: int) -> tuple:
     """All exponent tuples of total degree d, in canonical (descending) order."""

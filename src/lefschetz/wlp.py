@@ -65,16 +65,24 @@ def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
     cache = cache or SliceCache(I, field)
     if not is_artinian(I, field, cache):
         raise NotArtinianError("not Artinian")
-    e = F.degree
-    h_d = cache.dim(d)
-    h_de = cache.dim(d + e)
-    rank = _map_rank(cache, F, d, d + e) if h_d and h_de else 0
+    de = d + F.degree
+    h_d, h_de = cache.dim(d), cache.dim(de)
+    rank = _map_rank(cache, F, d, de) if h_d and h_de else 0
     return {"h_d": h_d, "h_de": h_de, "rank": rank}
 
 
 def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int) -> int:
-    rows = cache.slice_rows(de) + cache.multiple_rows(F, cache.std(d), de)
-    return cache.rank(rows, len(cache.std(de))) - cache.slice_rank(de)
+    """Rank of x F : (R/I)_d -> (R/I)_de: what the rows F*m, m in std(d),
+    add to the rank of the degree-de slice.
+
+    A copy of the cached echelon of the degree-de slice (left unchanged)
+    takes the sparse rows F*m, inserted for m in ascending canonical order,
+    std(d)[::-1], until it reaches full rank. A row pivots on its leading
+    monomial, LM(F)*m when that is standard, and every monomial of the rows
+    F*m' before it is below LM(F)*m, because m' < m. So most rows meet no
+    earlier row in their lead column and become pivots without an update."""
+    rows = cache.multiple_rows(F, cache.std(d)[::-1], de)
+    return cache.echelon(de).copy().extend(rows) - cache.echelon(de).rank
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
@@ -224,10 +232,9 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     std_d = cache.std(d)
     if not std_d:
         return None
-    # row i is L*std_d[i] on the degree-(d+1) standard monomials, zero when
+    # row i is L*std_d[i] on the degree-(d+1) standard monomials, empty when
     # the product lies in the monomial part, so rows stay aligned with std_d
-    zero = [0] * len(cache.std(d + 1))
-    rows = [(cache.multiple_rows(L, [m], d + 1) or [zero])[0] for m in std_d]
+    rows = [(cache.multiple_rows(L, [m], d + 1) or [{}])[0] for m in std_d]
     ech_d = cache.echelon(d)
     for vec in cache.echelon(d + 1).relations(rows):
         if not any(ech_d.reduce(vec)):

@@ -1,0 +1,34 @@
+"""Independent oracles used only by the tests: a cofactor determinant, a
+rank over a field for dense rows with entries in that field, and monomial
+divisibility."""
+
+from lefschetz.fields import FieldSpec
+from lefschetz.matrices import clear_denominators, mod_rank, rank_int_rows
+
+
+def det_cofactor(entries) -> int:
+    """Cofactor-expansion determinant of a small square matrix."""
+    n = len(entries)
+    if n == 0:
+        return 1
+    if n == 1:
+        return entries[0][0]
+    total = 0
+    for j in range(n):
+        if entries[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
+        total += (-1) ** j * entries[0][j] * det_cofactor(minor)
+    return total
+
+
+def rank_rows(rows, ncols: int, field: FieldSpec) -> int:
+    """Rank over the field of dense rows with entries in that field."""
+    if field.characteristic == 0:
+        return rank_int_rows([clear_denominators(r) for r in rows], ncols)
+    return mod_rank(rows, ncols, field.characteristic)
+
+
+def mono_divides(a, b) -> bool:
+    """True iff the monomial with exponents a divides the one with b."""
+    return all(x <= y for x, y in zip(a, b))

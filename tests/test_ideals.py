@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,8 @@ from lefschetz.ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
                               standard_monomial_tuples, standard_monomials)
 from lefschetz.liaison import ci_hvector
 from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
-                            linear_form, mono_divides)
+                            linear_form)
+from oracles import mono_divides
 
 XYZ = ["x", "y", "z"]
 
@@ -181,8 +184,37 @@ def test_restriction_drops_variable():
     L = linear_form(3, [1, 1, 1], QQ)
     Ibar = restrict_modulo_linear(I, L, 2, QQ)
     assert Ibar.num_vars == 2
-    # z -> -(x+y): z^3 becomes -(x+y)^3, monic-normalized
+    # z -> -(x+y): z^3 and x*y*z become -(x+y)^3 and -x*y*(x+y), normalized
+    # to a positive lead coefficient, with int coefficients
+    terms = [sorted(g.terms.items()) for g in Ibar.generators]
+    assert terms == [[((3, 0), 1)], [((0, 3), 1)],
+                     [((0, 3), 1), ((1, 2), 3), ((2, 1), 3), ((3, 0), 1)],
+                     [((1, 2), 1), ((2, 1), 1)]]
+    assert all(type(c) is int for g in terms for _, c in g)
     assert tuple(hilbert_profile(Ibar, QQ)) == (1, 2, 3, 1)
+
+
+@pytest.mark.parametrize("gens", ["x^3,y^3,z^3,x*y*z",
+                                  "x^4,y^4,z^3,x*y^2*z",
+                                  "x^4,y^4,z^4,2*x^2*y^2-3*x*y*z^2+z^4"])
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, -3, 4), (1, 0, 3)])
+def test_restricted_generators_are_normalized(gens, coeffs):
+    # char 0: primitive integer generators with a positive lead coefficient;
+    # char p: monic residues. Either way the same ideal as the monic one.
+    for field in (QQ, GF(5), GF(7)):
+        I = ideal(gens, field)
+        L = linear_form(3, coeffs, field)
+        Ibar = restrict_modulo_linear(I, L, 2, field)
+        assert Ibar.generators
+        for g in Ibar.generators:
+            cs = list(g.terms.values())
+            assert all(type(c) is int for c in cs), g
+            lead = g.terms[max(g.terms)]
+            if field is QQ:
+                assert lead > 0 and gcd(*cs) == 1
+            else:
+                assert lead == 1 and all(0 < c < field.characteristic
+                                         for c in cs)
 
 
 def test_restriction_needs_pivot_coefficient():

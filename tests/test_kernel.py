@@ -147,3 +147,47 @@ def test_relations_over_q(case, data):
 @settings(max_examples=80, deadline=None)
 def test_relations_over_fp(p, case, data):
     check_relations(case, data.draw(st.integers(0, len(case[0]))), p)
+
+
+@given(int_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ranks_ignore_row_and_column_order(case, data):
+    # the order of rows and columns sets the fill, never the rank; and a
+    # {column: entry} row ranks like its dense form, whether it holds only
+    # nonzero entries (residues over F_p) or zeros and unreduced entries
+    # too, and is left as it was
+    rows, ncols = case
+    p = data.draw(st.sampled_from(PRIMES))
+    expected = {0: oracle_rank(rows, ncols, sympy_domains.QQ),
+                p: oracle_rank(rows, ncols, sympy_domains.GF(p))}
+    perm = data.draw(st.permutations(range(ncols)))
+    moved = [[row[j] for j in perm] for row in data.draw(st.permutations(rows))]
+    for q, rank in expected.items():
+        sparse = [{j: a % q if q else a for j, a in enumerate(row)
+                   if (a % q if q else a)} for row in moved]
+        raw = [dict(enumerate(row)) for row in moved]
+        given_rows = [dict(row) for row in sparse + raw]
+        for m in (moved, sparse, raw):
+            assert (mod_rank(m, ncols, q) if q
+                    else rank_int_rows(m, ncols)) == rank
+            ech = IntRowEchelon(ncols, q)
+            for row in m:
+                ech.add(row)
+            assert ech.rank == rank
+            # a copy seeded with the first rows reaches the same rank and
+            # leaves its source as it was
+            half = IntRowEchelon(ncols, q)
+            seeded = half.extend(m[:len(m) // 2])
+            assert half.copy().extend(m[len(m) // 2:]) == rank
+            assert half.rank == seeded
+        assert sparse + raw == given_rows
+
+
+def test_dict_rows_with_zero_or_unreduced_entries():
+    assert rank_int_rows([{0: 0}], 2) == 0
+    assert rank_int_rows([{0: 2, 1: 0}, {0: -4}], 2) == 1
+    assert mod_rank([{0: 1, 1: 7}, {0: 1}], 2, 7) == 1
+    assert mod_rank([{0: 8, 1: -6}, {0: 1, 1: 1}], 2, 7) == 1
+    ech = IntRowEchelon(2, 7)
+    assert not ech.add({0: 7, 1: 14})
+    assert ech.add({1: 15}) and ech.reduce({0: 0, 1: 3}) == [0, 0]

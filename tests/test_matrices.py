@@ -5,9 +5,9 @@ import pytest
 
 from lefschetz.fields import GF, QQ
 from lefschetz.matrices import (MAX_MOD_RANK_PRIME, ExactMatrix, IntRowEchelon,
-                                clear_denominators, det_cofactor, det_integer,
-                                factor, gcd_of_maximal_minors, mod_rank,
-                                rank_int_rows, rank_rows)
+                                clear_denominators, det_integer, factor,
+                                gcd_of_maximal_minors, mod_rank, rank_int_rows)
+from oracles import det_cofactor, rank_rows
 
 
 def test_mod_rank_identity():
@@ -75,6 +75,16 @@ def test_echelon_reduce_membership():
 def test_clear_denominators():
     row = [Fraction(1, 2), Fraction(2, 3), 1]
     assert clear_denominators(row) == [3, 4, 6]
+
+
+def test_clear_denominators_rejects_sparse_rows():
+    # iterating a {column: entry} row reads its columns: [3, 7] here, and
+    # rank_rows([{0: 1}, {0: 2}], 2, QQ) came out as 0
+    with pytest.raises(TypeError):
+        clear_denominators({3: 2, 7: 4})
+    with pytest.raises(TypeError):
+        rank_rows([{0: 1}, {0: 2}], 2, QQ)
+    assert clear_denominators({3: 2, 7: 4}.values()) == [1, 2]
 
 
 def test_rank_rows_over_gf():

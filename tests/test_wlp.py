@@ -8,11 +8,11 @@ from lefschetz.families import Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
                               parse_ideal, restrict_modulo_linear)
-from lefschetz.matrices import rank_rows
 from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
                             linear_form, poly_pow)
 from lefschetz.wlp import (cokernel_dimension, kernel_witness, mult_map_rank,
                            wlp_check)
+from oracles import rank_rows
 
 XYZ = ["x", "y", "z"]
 
@@ -216,13 +216,67 @@ def test_direct_rows_match_projected_rows(case):
             for m in degree_monomials(I.num_vars, de - g.degree)]
     rows = base + [cache.project(F.times_monomial(m), de)
                    for m in cache.std(d)]
-    direct = cache.slice_rows(de) + cache.multiple_rows(F, cache.std(d), de)
+    direct = [[row.get(j, 0) for j in range(ncols)]  # dense, for rank_rows
+              for row in cache.slice_rows(de)
+              + cache.multiple_rows(F, cache.std(d), de)]
     span = rank_rows(rows, ncols, field)
     # the direct rows span the same space as the projected ones
     assert rank_rows(direct, ncols, field) == span
     assert rank_rows(direct + rows, ncols, field) == span
     assert (mult_map_rank(I, F, d, field)["rank"]
             == span - rank_rows(base, ncols, field))
+
+
+def projected_map_data(I, F, d, field):
+    """h_d, h_de and the rank of x F on (R/I)_d from dense projected rows:
+    the oracle for mult_map_rank, which works on sparse direct rows."""
+    cache = SliceCache(I, field)
+
+    def slice_rows(k):
+        return [cache.project(g.times_monomial(m), k)
+                for g in I.polynomial_generators if g.degree <= k
+                for m in degree_monomials(I.num_vars, k - g.degree)]
+
+    de = d + F.degree
+    n_d, n_de = len(cache.std(d)), len(cache.std(de))
+    base = slice_rows(de)
+    rows = base + [cache.project(F.times_monomial(m), de)
+                   for m in cache.std(d)]
+    h_de = n_de - rank_rows(base, n_de, field)
+    h_d = n_d - rank_rows(slice_rows(d), n_d, field)
+    rank = rank_rows(rows, n_de, field) - (n_de - h_de) if h_d and h_de else 0
+    return {"h_d": h_d, "h_de": h_de, "rank": rank}
+
+
+@given(map_rank_case())
+@settings(max_examples=40, deadline=None)
+def test_mult_map_rank_matches_projected_rows(case):
+    # every degree up to the case's, through one shared cache, so later maps
+    # start from echelons that earlier maps copied
+    I, F, d, field = case
+    cache = SliceCache(I, field)
+    for k in range(d + 1):
+        expected = projected_map_data(I, F, k, field)
+        assert mult_map_rank(I, F, k, field, cache=cache) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_map_ranks_leave_cached_echelons_unchanged(field):
+    I = make_ideal(Jr(4), field)
+    cache = SliceCache(I, field)
+    top = hilbert_profile(I, field, cache).socle_degree + 2
+    before = {d: (cache.echelon(d).rank, cache.dim(d),
+                  dict(cache.echelon(d).pivots)) for d in range(top + 1)}
+    forms = [all_ones(4, field), linear_form(4, [2, 1, 1, -1], field),
+             linear_form(4, [3, -2, 7, 1], field),
+             poly_pow(all_ones(4, field), 2, field)]
+    for F in forms:
+        for d in range(top + 1 - F.degree):
+            mult_map_rank(I, F, d, field, cache=cache)
+    after = {d: (cache.echelon(d).rank, cache.dim(d),
+                 dict(cache.echelon(d).pivots)) for d in range(top + 1)}
+    assert after == before
+    assert any(cache.echelon(d).rank for d in before)  # J_4 has slice rows
 
 
 def test_repeated_forms_are_decided_once():
