@@ -3,6 +3,11 @@ Artinian monomial and almost-monomial quotients.
 
 Everything is computed with exact arithmetic (rationals or prime fields);
 there is no floating point anywhere in the decision paths.
+
+A monomial is an exponent tuple, one entry per variable: standard_monomials
+and SocleReport.socle_monomials return them, and
+rings.format_monomial(expo, variables) writes one as text. (These were
+Monomial objects before; their .exponents is now the tuple itself.)
 """
 
 from .fields import GF, QQ, FieldSpec

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .criterion import criterion_report, vandermonde_witness
@@ -23,11 +22,6 @@ from .sweeps import SWEEP_KINDS, run_sweep
 from .wlp import DEFAULT_SEED, DEFAULT_TRIALS, wlp_check
 
 FAMILIES = ("irkd", "irk", "irr", "jr", "aci3", "levelaci", "injn")
-
-
-def default_seed() -> int:
-    env = os.environ.get("LEFSCHETZ_SEED")
-    return int(env, 0) if env else DEFAULT_SEED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("allones", "random", "paper"),
                     default="paper")
     sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
 
     sp = sub.add_parser("detm", help="determinant criterion report")
     for flag in ("alpha", "beta", "gamma", "t"):
@@ -80,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="parameter sweep with JSONL persistence")
     sp.add_argument("--kind", choices=SWEEP_KINDS, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     sp.add_argument("--max-sum", type=int)
     sp.add_argument("--tspan", type=int)
     sp.add_argument("--max-power", type=int)
@@ -172,14 +166,13 @@ def cmd_hilbert(args, parser) -> int:
 
 def cmd_wlp(args, parser) -> int:
     chars = args.char or [0]
-    seed = args.seed if args.seed is not None else default_seed()
     strategy = {"paper": "auto"}.get(args.strategy, args.strategy)
     lines = []
     records = []
     for field, ch in zip(fields_from_chars(chars, parser), chars):
         I = make_quotient(args, parser, field)
         v = wlp_check(I, field, strategy=strategy, trials=args.trials,
-                      seed=seed)
+                      seed=args.seed)
         tag = "conclusive" if v.conclusive else "not conclusive"
         verdict = "holds" if v.has_wlp else \
             f"fails at degrees {v.failure_degrees}"
@@ -188,7 +181,7 @@ def cmd_wlp(args, parser) -> int:
         records.append({"char": ch, "has_wlp": v.has_wlp,
                         "conclusive": v.conclusive,
                         "failure_degrees": v.failure_degrees,
-                        "forms_tried": v.forms_tried, "seed": seed})
+                        "forms_tried": v.forms_tried, "seed": args.seed})
     if args.json:
         emit(json.dumps(records if len(records) > 1 else records[0]), args.out)
     else:
@@ -263,7 +256,6 @@ def cmd_chain(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
     bounds = {}
     if args.kind == "half-conj":
         if args.max_sum is not None:
@@ -277,10 +269,10 @@ def cmd_sweep(args, parser) -> int:
     elif args.kind == "conj-wlp-d456" and args.char:
         bounds["chars"] = tuple(args.char)
     try:
-        n = run_sweep(args.kind, args.out, seed=seed, **bounds)
+        n = run_sweep(args.kind, args.out, seed=args.seed, **bounds)
     except ValueError as exc:
         parser.error(str(exc))
-    print(f"{n} records written to {args.out} (seed {seed:#x})")
+    print(f"{n} records written to {args.out} (seed {args.seed:#x})")
     return 0
 
 

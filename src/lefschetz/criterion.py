@@ -13,7 +13,7 @@ from itertools import permutations
 from math import comb
 
 from .fields import QQ
-from .matrices import ExactMatrix, det_integer, factor
+from .matrices import det_integer, factor
 from .rings import (HomogeneousPolynomial, degree_monomials, linear_form,
                     poly_mul, poly_pow)
 
@@ -34,8 +34,8 @@ def _hypotheses(alpha: int, beta: int, gamma: int, t: int):
     return s, n
 
 
-def build_M(alpha: int, beta: int, gamma: int, t: int) -> ExactMatrix:
-    """The integer criterion matrix.
+def build_M(alpha: int, beta: int, gamma: int, t: int) -> list:
+    """The integer criterion matrix, as a list of int rows.
 
     With s = (alpha+beta+gamma)/3 and n = t + (alpha+beta-2 gamma)/3:
     top block rows i = 0..t-s-1 have entry(i, j) = binom(gamma, s+i-j);
@@ -52,7 +52,7 @@ def build_M(alpha: int, beta: int, gamma: int, t: int) -> ExactMatrix:
                      if 0 <= t + beta - 1 - i - j <= gamma + t else 0
                      for j in range(n)])
     assert len(rows) == n
-    return ExactMatrix.from_rows(rows)
+    return rows
 
 
 @dataclass
@@ -61,11 +61,14 @@ class CriterionReport:
     beta: int
     gamma: int
     t: int
-    size: int
-    M: ExactMatrix
+    M: list  # int rows
     det: int
     factors: dict  # {prime: exponent}; empty when det is 0 or +-1
     failing_characteristics: set  # primes p with det = 0 mod p; 0 when det = 0
+
+    @property
+    def size(self) -> int:
+        return len(self.M)
 
     def fails_in(self, characteristic: int) -> bool:
         if self.det == 0:
@@ -91,8 +94,7 @@ def criterion_report(alpha: int, beta: int, gamma: int, t: int) -> CriterionRepo
         if cofactor != 1:
             raise ArithmeticError(f"incomplete factorization of {det}")
         failing = set(factors)
-    return CriterionReport(alpha, beta, gamma, t, M.rows, M, det, factors,
-                           failing)
+    return CriterionReport(alpha, beta, gamma, t, M, det, factors, failing)
 
 
 def _perm_sign(perm) -> int:
@@ -155,9 +157,9 @@ def vandermonde_witness(r: int) -> VandermondeWitness:
     return VandermondeWitness(r, F, first, second, nonzero)
 
 
-def r4_surjectivity_matrix() -> ExactMatrix:
-    """The 30 x 28 integer matrix whose full column rank certifies the
-    degree-4-to-6 surjectivity step in three variables.
+def r4_surjectivity_matrix() -> list:
+    """The 30 x 28 integer matrix, as int rows, whose full column rank
+    certifies the degree-4-to-6 surjectivity step in three variables.
 
     Rows are the products f*q for f in {w^4, x^4, y^4, (2w+x+y)^4,
     w*x*y*(w+x+y)} and q in {w^2, w*x, x^2, w*y, x*y, y^2}; columns are the
@@ -179,4 +181,4 @@ def r4_surjectivity_matrix() -> ExactMatrix:
             for e, c in shifted.terms.items():
                 row[idx[e]] = c
             rows.append(row)
-    return ExactMatrix.from_rows(rows)
+    return rows

@@ -315,7 +315,3 @@ def betti_table(spec: FamilySpec) -> BettiTable:
             pos3[tw] = pos3.get(tw, 0) + 1
         return BettiTable([{0: 1}, pos1, pos2, pos3])
     raise ValueError(f"no Betti table for family {type(spec).__name__}")
-
-
-def betti_is_minimal(spec: Aci3) -> bool:
-    return spec.alpha > 0 and spec.beta > 0 and spec.gamma > 0

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from operator import add
 
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators
-from .rings import (HomogeneousPolynomial, Monomial, degree_monomials,
-                    parse_generators, poly_add, poly_mul, poly_pow)
+from .rings import (HomogeneousPolynomial, degree_monomials, parse_generators,
+                    poly_add, poly_mul, poly_pow)
 
 
 @dataclass
@@ -29,6 +29,9 @@ class HomogeneousIdeal:
         for g in self.generators:
             if g.is_zero:
                 raise ValueError("zero generator")
+            if g.degree == 0:
+                raise ValueError("generator of degree 0: the unit ideal, "
+                                 "whose quotient is zero")
             if g.num_vars != self.num_vars:
                 raise ValueError("generator variable count mismatch")
         self.is_monomial = all(g.is_term for g in self.generators)
@@ -106,11 +109,12 @@ def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
 
 
 def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
+    """Exponent tuples of the degree-d standard monomials of a monomial
+    ideal, in canonical order."""
     if not I.is_monomial:
         raise ValueError("standard monomials need a monomial ideal; "
                          "use degree-slice ranks instead")
-    gens = I.monomial_generators
-    return [Monomial(m) for m in standard_monomial_tuples(gens, I.num_vars, d)]
+    return standard_monomial_tuples(I.monomial_generators, I.num_vars, d)
 
 
 class SliceCache:
@@ -211,16 +215,29 @@ class SliceCache:
         return self._ech[d]
 
 
-def is_artinian(I: HomogeneousIdeal, field: FieldSpec | None = None,
+def slice_engine(I: HomogeneousIdeal, field: FieldSpec,
+                 cache: SliceCache | None = None) -> SliceCache:
+    """The slice engine of I over field: cache, or a new one when cache is
+    None. An engine built for another ideal or field would answer for that
+    one, so it raises ValueError."""
+    if cache is None:
+        return SliceCache(I, field)
+    if cache.field != field or (cache.I is not I and cache.I != I):
+        raise ValueError("the slice engine was built for another ideal or "
+                         "field")
+    return cache
+
+
+def is_artinian(I: HomogeneousIdeal, field: FieldSpec = QQ,
                 cache: SliceCache | None = None) -> bool:
     """Artinian test: pure powers of every variable (monomial route), or a
     vanishing Hilbert slice below the degree cap (general route)."""
+    cache = slice_engine(I, field, cache)
     covered = _pure_power_vars(I)
     if all(covered):
         return True
     if I.is_monomial:
         return False
-    cache = cache or SliceCache(I, field or FieldSpec(0))
     for d in range(1, I.degree_cap() + 1):
         if cache.dim(d) == 0:
             return True
@@ -255,10 +272,6 @@ class HilbertProfile:
         """Top nonzero degree; None for the zero algebra."""
         return len(self.values) - 1 if self.values else None
 
-    @property
-    def total_dimension(self) -> int:
-        return sum(self.values)
-
     def __iter__(self):
         return iter(self.values)
 
@@ -266,13 +279,12 @@ class HilbertProfile:
         return self.values[d] if 0 <= d < len(self.values) else 0
 
 
-def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec | None = None,
+def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
                     cache: SliceCache | None = None) -> HilbertProfile:
     """h(d) = dim (R/I)_d, computed degree by degree until it vanishes.
 
     Field-independent for monomial ideals (standard-monomial counting)."""
-    field = field or FieldSpec(0)
-    cache = cache or SliceCache(I, field)
+    cache = slice_engine(I, field, cache)
     if not is_artinian(I, field, cache):
         missing = [i for i, c in enumerate(_pure_power_vars(I)) if not c]
         if I.is_monomial and missing:
@@ -294,7 +306,7 @@ def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec | None = None,
 
 @dataclass
 class SocleReport:
-    socle_monomials: list
+    socle_monomials: list  # exponent tuples
     socle_degrees: list
     cm_type: int
     is_level: bool
@@ -305,11 +317,12 @@ def socle_report(I: HomogeneousIdeal, cache: SliceCache | None = None,
     """Socle of a monomial Artinian quotient: standard monomials killed by
     every variable, that is, m with every m*x_i non-standard.
 
-    A caller that already holds the ideal's slice engine and Hilbert profile
+    A caller that already holds the ideal's slice engine (over any field:
+    the socle of a monomial ideal does not depend on it) and Hilbert profile
     passes them in; otherwise both are computed here."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
-    cache = cache or SliceCache(I, FieldSpec(0))
+    cache = slice_engine(I, QQ if cache is None else cache.field, cache)
     profile = profile or hilbert_profile(I, cache.field, cache)
     r = I.num_vars
     socle = []
@@ -320,8 +333,7 @@ def socle_report(I: HomogeneousIdeal, cache: SliceCache | None = None,
                        for i in range(r)):
                 socle.append(m)
     degrees = sorted(sum(m) for m in socle)
-    return SocleReport([Monomial(m) for m in socle], degrees, len(socle),
-                       len(set(degrees)) <= 1)
+    return SocleReport(socle, degrees, len(socle), len(set(degrees)) <= 1)
 
 
 def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,

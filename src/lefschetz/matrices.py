@@ -8,8 +8,9 @@ into a new dict of its nonzero entries (residues over F_p). Rows are
 reduced against pivots keyed by their lead column, the least column with a
 nonzero entry: monic residues over F_p, and over Q integer rows (with
 denominators cleared) under a fraction-free reduction, so every result is
-exact. Determinants use Bareiss elimination instead, which keeps the sign
-and scale a rank ignores.
+exact. Determinants and minor gcds take a matrix as a list of int rows and
+use Bareiss elimination instead, which keeps the sign and scale a rank
+ignores.
 
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from copy import copy
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
 
@@ -210,35 +210,30 @@ def clear_denominators(row):
     return [a // g for a in out] if g > 1 else out
 
 
-@dataclass
-class ExactMatrix:
-    """Dense integer matrix."""
+def _int_rows(rows) -> tuple[list, int]:
+    """Copies of the rows of an integer matrix, and their common length.
 
-    rows: int
-    cols: int
-    entries: list
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("dimensions must be non-negative")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, entries) -> "ExactMatrix":
-        entries = [list(row) for row in entries]
-        for row in entries:
-            for a in row:
-                if not isinstance(a, int):
-                    raise ValueError(f"entry {a!r} is not an integer")
-        return cls(len(entries), len(entries[0]) if entries else 0, entries)
+    Raises ValueError for ragged rows or an entry that is not an int (a
+    Fraction would otherwise be truncated by the integer division)."""
+    out = [list(row) for row in rows]
+    ncols = len(out[0]) if out else 0
+    for row in out:
+        if len(row) != ncols:
+            raise ValueError("matrix rows differ in length")
+        for a in row:
+            if not isinstance(a, int):
+                raise ValueError(f"entry {a!r} is not an integer")
+    return out, ncols
 
 
-def det_integer(m: ExactMatrix) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return _bareiss([row[:] for row in m.entries])
+def det_integer(m) -> int:
+    """Exact determinant of a square matrix of int rows by Bareiss
+    elimination."""
+    a, ncols = _int_rows(m)
+    if len(a) != ncols:
+        raise ValueError(
+            f"determinant needs a square matrix, got {len(a)}x{ncols}")
+    return _bareiss(a)
 
 
 def _bareiss(a) -> int:
@@ -298,18 +293,20 @@ def factor(n: int):
     return factors, n
 
 
-def gcd_of_maximal_minors(m: ExactMatrix) -> int:
-    """Gcd of the absolute values of all maximal (cols x cols) minors."""
-    if m.rows < m.cols:
+def gcd_of_maximal_minors(m) -> int:
+    """Gcd of the absolute values of all maximal (cols x cols) minors of a
+    matrix of int rows."""
+    a, cols = _int_rows(m)
+    rows = len(a)
+    if rows < cols:
         raise ValueError("need rows >= cols")
-    if m.cols > MINOR_COLS_CAP:
-        raise ValueError(f"cols {m.cols} exceeds cap {MINOR_COLS_CAP}")
-    if comb(m.rows, m.cols) > MINOR_COUNT_CAP:
+    if cols > MINOR_COLS_CAP:
+        raise ValueError(f"cols {cols} exceeds cap {MINOR_COLS_CAP}")
+    if comb(rows, cols) > MINOR_COUNT_CAP:
         raise ValueError("too many maximal minors for desk scale")
     g = 0
-    for subset in combinations(range(m.rows), m.cols):
-        sub = [m.entries[i][:] for i in subset]
-        g = gcd(g, abs(_bareiss(sub)))
+    for subset in combinations(range(rows), cols):
+        g = gcd(g, abs(_bareiss([a[i][:] for i in subset])))
         if g == 1:
             return 1
     return g

@@ -1,4 +1,4 @@
-"""Monomials, homogeneous polynomials, and the generator-expression parser.
+"""Monomials as exponent tuples, homogeneous polynomials, and the parser.
 
 The canonical order on monomials of equal degree is degree-lexicographic with
 x1 > x2 > ... > xr; within a degree slice this is plain descending
@@ -7,7 +7,6 @@ lexicographic comparison of exponent tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import FieldSpec
@@ -33,24 +32,15 @@ def degree_monomials(num_vars: int, d: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial, as an exponent tuple over a fixed variable count."""
-
-    exponents: Expo
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def format(self, variables) -> str:
-        parts = []
-        for v, e in zip(variables, self.exponents):
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "*".join(parts) if parts else "1"
+def format_monomial(expo: Expo, variables) -> str:
+    """An exponent tuple as text, e.g. (2, 1, 0) over x, y, z as x^2*y."""
+    parts = []
+    for v, e in zip(variables, expo):
+        if e == 1:
+            parts.append(v)
+        elif e > 1:
+            parts.append(f"{v}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 class HomogeneousPolynomial:
@@ -129,7 +119,7 @@ class HomogeneousPolynomial:
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
-            mono = Monomial(e).format(variables)
+            mono = format_monomial(e, variables)
             if c == 1 and sum(e) > 0:
                 s = mono
             elif c == -1 and sum(e) > 0:

@@ -20,7 +20,7 @@ from .liaison import bdl_chain, ci_hvector, diff_of_hf_check
 from .matrices import gcd_of_maximal_minors
 from .rings import poly_pow
 from .sweeps import aci3_grid, level_aci_grid, sweep_injn
-from .wlp import _all_ones, cokernel_dimension, kernel_witness, wlp_check
+from .wlp import _all_ones, kernel_witness, mult_map_rank, wlp_check
 
 XYZ = ["x", "y", "z"]
 
@@ -301,7 +301,8 @@ def criterion_12():
         L = _all_ones(3, QQ)
         hbar = hilbert_profile(restrict_modulo_linear(I, L, 2, QQ), QQ)
         for d in range(0, hilbert_profile(I).socle_degree + 1):
-            if cokernel_dimension(I, L, d, QQ) != hbar[d + 1]:
+            data = mult_map_rank(I, L, d, QQ)
+            if data["h_de"] - data["rank"] != hbar[d + 1]:
                 return False, f"cokernel duality fails for ({gens}) at d={d}"
 
     for degs in ((2,), (3, 4), (2, 5, 5), (3, 3, 3, 3), (2, 3, 4, 5, 6)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fields import FieldSpec
 from .ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
-                     hilbert_profile, is_artinian, socle_report)
+                     hilbert_profile, is_artinian, slice_engine, socle_report)
 from .matrices import clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
@@ -61,8 +61,9 @@ class WLPVerdict:
 
 def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
                   field: FieldSpec, cache: SliceCache | None = None) -> dict:
-    """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}."""
-    cache = cache or SliceCache(I, field)
+    """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}; its cokernel has
+    dimension h_de - rank."""
+    cache = slice_engine(I, field, cache)
     if not is_artinian(I, field, cache):
         raise NotArtinianError("not Artinian")
     de = d + F.degree
@@ -132,9 +133,6 @@ def _verdict_for_form(cache, L, profile, level, full_scan) -> WLPVerdict:
     field = cache.field
     h = profile
     D = h.socle_degree
-    if D is None:
-        return WLPVerdict([], True, [], L, field, True)
-
     if not full_scan and level:
         plateau = next((d for d in range(D) if h[d] == h[d + 1] and h[d] > 0), None)
         if plateau is not None and all(h[d] < h[d + 1] for d in range(plateau)) \
@@ -241,16 +239,10 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
             continue  # lies in the ideal slice: zero in the quotient
         witness = HomogeneousPolynomial.from_terms(
             I.num_vars, {m: c for m, c in zip(std_d, vec) if c}, degree=d)
-        witness = _normalize_leading(witness, field)
+        witness = witness.monic(field)  # first coordinate in canonical order 1
         _verify_witness(cache, witness, L, d, field)
         return witness
     return None
-
-
-def _normalize_leading(poly: HomogeneousPolynomial, field: FieldSpec):
-    """Scale so the first nonzero coordinate in canonical order is 1."""
-    lead = max(poly.terms)
-    return poly.scaled(field.inv(poly.terms[lead]), field)
 
 
 def _verify_witness(cache: SliceCache, witness, L, d: int, field: FieldSpec):
@@ -268,10 +260,3 @@ def _coords(cache: SliceCache, poly: HomogeneousPolynomial, d: int) -> list:
     echelons' arithmetic: integers in char 0, residues in char p."""
     row = [cache.field.reduce(a) for a in cache.project(poly, d)]
     return row if cache.field.characteristic else clear_denominators(row)
-
-
-def cokernel_dimension(I: HomogeneousIdeal, L: HomogeneousPolynomial, d: int,
-                       field: FieldSpec) -> int:
-    """dim coker(x L : (R/I)_d -> (R/I)_{d+1})."""
-    data = mult_map_rank(I, L, d, field)
-    return data["h_de"] - data["rank"]

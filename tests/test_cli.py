@@ -104,6 +104,16 @@ def test_csv_flag_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["hilbert", "wlp"])
+def test_usage_error_unit_ideal(capsys, command):
+    # a constant generator used to end in a bare TypeError (wlp) or an
+    # empty Hilbert function (hilbert)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gens", "x^2,y^2,1", "--vars", "x,y"])
+    assert exc.value.code == 2
+    assert "degree 0" in capsys.readouterr().err
+
+
 def test_usage_error_bad_gens(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--gens", "x^2 +", "--vars", "x,y"])
@@ -138,10 +148,3 @@ def test_sweep_cap_enforced(tmp_path, capsys):
               str(tmp_path / "x.jsonl"), "--max-power", "9"])
     assert exc.value.code == 2
 
-
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LEFSCHETZ_SEED", "0x123")
-    code, out = run(capsys, "sweep", "--kind", "injn",
-                    "--out", str(tmp_path / "s.jsonl"))
-    assert code == 0
-    assert "0x123" in out

@@ -9,18 +9,18 @@ from lefschetz.matrices import det_integer, mod_rank
 
 def test_build_M_one_by_one():
     m = build_M(1, 1, 1, 1)
-    assert m.entries == [[2]]
+    assert m == [[2]]
 
 
 def test_build_M_two_by_two():
     m = build_M(1, 1, 1, 2)
-    assert m.entries == [[1, 1], [3, 3]]
+    assert m == [[1, 1], [3, 3]]
     assert det_integer(m) == 0
 
 
 def test_build_M_7x7_determinant():
     m = build_M(3, 3, 3, 7)
-    assert m.rows == m.cols == 7
+    assert len(m) == 7 and all(len(row) == 7 for row in m)
     assert abs(det_integer(m)) == 78408
 
 
@@ -43,8 +43,8 @@ def test_build_M_corner_entries():
     for al, be, ga, t in tuples:
         m = build_M(al, be, ga, t)
         s = (al + be + ga) // 3
-        assert m.entries[0][0] == comb(ga, s)
-        assert m.entries[-1][0] == comb(ga + t, t + be - 1
+        assert m[0][0] == comb(ga, s)
+        assert m[-1][0] == comb(ga + t, t + be - 1
                                         - (2 * al + 2 * be - ga) // 3 + 1)
 
 
@@ -104,10 +104,10 @@ def test_vandermonde_range():
 
 def test_r4_matrix_shape_and_trivial_row():
     m = r4_surjectivity_matrix()
-    assert (m.rows, m.cols) == (30, 28)
+    assert len(m) == 30 and all(len(row) == 28 for row in m)
     # first row: w^4 * w^2 = w^6, the leading column in canonical order
-    assert m.entries[0][0] == 1
-    assert all(a == 0 for a in m.entries[0][1:])
+    assert m[0][0] == 1
+    assert all(a == 0 for a in m[0][1:])
 
 
 def test_r4_matrix_multinomial_row():
@@ -115,7 +115,7 @@ def test_r4_matrix_multinomial_row():
     m = r4_surjectivity_matrix()
     cols = degree_monomials(3, 6)
     # (2w+x+y)^4 * y^2 row: coefficient of w^2*x*y^3 is 4!/(2!1!1!) * 2^2 = 48
-    row = m.entries[3 * 6 + 5]
+    row = m[3 * 6 + 5]
     assert row[cols.index((2, 1, 3))] == 48
     # coefficient of w^4*y^2 comes from the pure (2w)^4 term
     assert row[cols.index((4, 0, 2))] == 16
@@ -123,6 +123,6 @@ def test_r4_matrix_multinomial_row():
 
 def test_r4_matrix_rank_profile():
     m = r4_surjectivity_matrix()
-    ent = [[int(a) for a in row] for row in m.entries]
+    ent = [[int(a) for a in row] for row in m]
     for p, full in ((2, False), (3, True), (5, False), (7, True), (11, True)):
         assert (mod_rank(ent, 28, p) == 28) is full

@@ -2,7 +2,7 @@ import pytest
 
 from lefschetz.families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci,
                                 aci3_metadata, aci3_mod3_obstruction,
-                                betti_is_minimal, betti_table,
+                                betti_table,
                                 chain_ideal, general_form, make_ideal,
                                 predicates)
 from lefschetz.fields import GF, QQ
@@ -152,10 +152,6 @@ def test_betti_table_last_module():
     bt = betti_table(Irk(3, 3))
     assert bt.positions[-1] == {-7: 3}
 
-
-def test_betti_minimality_flag():
-    assert betti_is_minimal(Aci3(3, 3, 3, 1, 1, 1))
-    assert not betti_is_minimal(Aci3(3, 3, 3, 0, 1, 1))
 
 
 def test_betti_table_unavailable():

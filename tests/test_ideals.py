@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.families import Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
                               hilbert_profile, is_artinian, parse_ideal,
@@ -68,10 +69,47 @@ def test_hilbert_rejects_non_artinian():
         hilbert_profile(ideal("x^2,y^2"))
 
 
+@pytest.mark.parametrize("text, variables", [("x^2,y^2,1", ["x", "y"]),
+                                             ("1", ["x"]),
+                                             ("x^2,y^2,3", ["x", "y"])])
+def test_unit_ideal_rejected(text, variables):
+    # a degree-0 generator used to give an empty profile (and then a bare
+    # TypeError in wlp_check and socle_report), or for "1" a NotArtinianError
+    # naming a variable without a pure power
+    with pytest.raises(ValueError, match="degree 0") as exc:
+        parse_ideal(text, variables, QQ)
+    assert not isinstance(exc.value, NotArtinianError)
+    one = HomogeneousPolynomial.monomial(2, (0, 0))
+    with pytest.raises(ValueError, match="degree 0"):
+        HomogeneousIdeal(2, [one])
+
+
+def test_slice_engine_of_another_ideal_or_field_rejected():
+    # each of these used to answer for the engine's ideal or field: the
+    # profile of J_4 through an engine of J_3 came out as (1, 3, 6, 6, 3)
+    I4 = make_ideal(Jr(4), QQ)
+    I3 = make_ideal(Jr(3), QQ)
+    for cache in (SliceCache(I3, QQ), SliceCache(make_ideal(Jr(4), GF(5)),
+                                                 GF(5))):
+        with pytest.raises(ValueError, match="another ideal or field"):
+            hilbert_profile(I4, QQ, cache=cache)
+        with pytest.raises(ValueError, match="another ideal or field"):
+            is_artinian(I4, QQ, cache=cache)
+    monomial = ideal("x^3,y^3,z^3,x*y*z")
+    with pytest.raises(ValueError, match="another ideal or field"):
+        socle_report(monomial, SliceCache(ideal("x^2,y^2,z^2"), QQ))
+    # an engine of an equal ideal, built separately, is the same engine
+    cache = SliceCache(make_ideal(Jr(4), QQ), QQ)
+    assert hilbert_profile(I4, QQ, cache=cache) == hilbert_profile(I4, QQ)
+    assert (socle_report(monomial, SliceCache(ideal("x^3,y^3,z^3,x*y*z"),
+                                              GF(3)))
+            == socle_report(monomial))
+
+
 def test_standard_monomials():
     I = ideal("x^2,y^2,z^2")
     sm = standard_monomials(I, 2)
-    assert [m.exponents for m in sm] == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    assert sm == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
 def test_standard_monomials_requires_monomial_ideal():
@@ -137,7 +175,7 @@ def test_socle_matches_definition(case):
     degrees = sorted(sum(m) for m in socle)
     for rep in (socle_report(I),
                 socle_report(I, SliceCache(I, GF(3)))):
-        assert [m.exponents for m in rep.socle_monomials] == socle
+        assert rep.socle_monomials == socle
         assert rep.socle_degrees == degrees
         assert rep.cm_type == len(socle)
         assert rep.is_level == (len(set(degrees)) <= 1)
@@ -163,7 +201,7 @@ def test_socle_of_ci():
     assert rep.cm_type == 1
     assert rep.is_level
     assert rep.socle_degrees == [3]
-    assert rep.socle_monomials[0].exponents == (1, 1, 1)
+    assert rep.socle_monomials == [(1, 1, 1)]
 
 
 def test_socle_three_generators():
@@ -239,7 +277,7 @@ def test_hilbert_total_dimension_is_product(degrees):
     total = 1
     for d in degrees:
         total *= d
-    assert h.total_dimension == total
+    assert sum(h) == total
 
 
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lefschetz.fields import GF, QQ
-from lefschetz.matrices import (MAX_MOD_RANK_PRIME, ExactMatrix, IntRowEchelon,
+from lefschetz.matrices import (MAX_MOD_RANK_PRIME, IntRowEchelon,
                                 clear_denominators, det_integer, factor,
                                 gcd_of_maximal_minors, mod_rank, rank_int_rows)
 from oracles import det_cofactor, rank_rows
@@ -99,19 +99,23 @@ def test_det_bareiss_vs_cofactor_randomized():
     for _ in range(25):
         n = rng.randint(1, 5)
         entries = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
-        m = ExactMatrix.from_rows(entries)
-        assert det_integer(m) == det_cofactor(entries)
+        assert det_integer(entries) == det_cofactor(entries)
 
 
 def test_det_rejects_non_square():
-    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValueError):
-        det_integer(m)
+    with pytest.raises(ValueError, match="square"):
+        det_integer([[1, 2, 3], [4, 5, 6]])
+
+
+def test_det_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="differ in length"):
+        det_integer([[1, 2], [3]])
+    with pytest.raises(ValueError, match="differ in length"):
+        det_integer([[1, 2, 3], [4, 5], [6, 7]])
 
 
 def test_det_singular():
-    m = ExactMatrix.from_rows([[1, 2], [2, 4]])
-    assert det_integer(m) == 0
+    assert det_integer([[1, 2], [2, 4]]) == 0
 
 
 def test_factor_known_value():
@@ -134,17 +138,24 @@ def test_factor_zero_rejected():
 
 def test_gcd_of_maximal_minors_small():
     # all 2x2 minors of this 3x2 matrix are even
-    m = ExactMatrix.from_rows([[2, 0], [0, 2], [2, 2]])
-    assert gcd_of_maximal_minors(m) == 4
+    assert gcd_of_maximal_minors([[2, 0], [0, 2], [2, 2]]) == 4
 
 
 def test_gcd_of_maximal_minors_square():
-    m = ExactMatrix.from_rows([[1, 0], [0, 3]])
-    assert gcd_of_maximal_minors(m) == 3
+    assert gcd_of_maximal_minors([[1, 0], [0, 3]]) == 3
 
 
-def test_exact_matrix_rejects_fractions():
+def test_gcd_of_maximal_minors_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="differ in length"):
+        gcd_of_maximal_minors([[2, 0], [0, 2], [2]])
+    with pytest.raises(ValueError, match="differ in length"):
+        gcd_of_maximal_minors([[2], [0, 2], [2, 2]])
+
+
+def test_int_rows_reject_fractions():
     # a Fraction entry used to be truncated: det [[1/2]] came out as 0 and
     # the minor gcd of [[1/2], [3/2]] as 1
     with pytest.raises(ValueError, match="not an integer"):
-        ExactMatrix.from_rows([[3], [Fraction(1, 2)]])
+        det_integer([[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="not an integer"):
+        gcd_of_maximal_minors([[3], [Fraction(1, 2)]])

@@ -10,8 +10,7 @@ from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
                               parse_ideal, restrict_modulo_linear)
 from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
                             linear_form, poly_pow)
-from lefschetz.wlp import (cokernel_dimension, kernel_witness, mult_map_rank,
-                           wlp_check)
+from lefschetz.wlp import kernel_witness, mult_map_rank, wlp_check
 from oracles import rank_rows
 
 XYZ = ["x", "y", "z"]
@@ -36,6 +35,20 @@ def test_mult_map_rank_values():
     data = mult_map_rank(I, L, 2, QQ)
     assert data["h_d"] == 6 and data["h_de"] == 6
     assert data["rank"] == 5  # the known maximal-rank failure
+
+
+def test_mult_map_rank_rejects_engine_of_another_field():
+    # through an engine of J_4 over GF(5) the rank came out as 29, the
+    # GF(5) rank; over QQ it is 30
+    I = make_ideal(Jr(4), QQ)
+    L = all_ones(4, QQ)
+    other = SliceCache(make_ideal(Jr(4), GF(5)), GF(5))
+    with pytest.raises(ValueError, match="another ideal or field"):
+        mult_map_rank(I, L, 4, QQ, cache=other)
+    assert mult_map_rank(I, L, 4, QQ)["rank"] == 30
+    assert mult_map_rank(I, L, 4, QQ, cache=SliceCache(I, QQ))["rank"] == 30
+    assert mult_map_rank(make_ideal(Jr(4), GF(5)), all_ones(4, GF(5)), 4,
+                         GF(5), cache=other)["rank"] == 29
 
 
 def test_quadratic_form_rank():
@@ -145,7 +158,8 @@ def test_cokernel_matches_restriction():
     L = all_ones(3, QQ)
     hbar = hilbert_profile(restrict_modulo_linear(I, L, 2, QQ), QQ)
     for d in range(5):
-        assert cokernel_dimension(I, L, d, QQ) == hbar[d + 1]
+        data = mult_map_rank(I, L, d, QQ)
+        assert data["h_de"] - data["rank"] == hbar[d + 1]
 
 
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))

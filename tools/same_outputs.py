@@ -1,0 +1,107 @@
+"""Check that lefschetz gives the same outputs in this tree as in another.
+
+    python3 tools/same_outputs.py --base-tree DIR
+
+DIR is a checkout of the revision to compare against (for instance a
+``git clone`` of this repository at the parent commit), as for
+``tools/bench_pairs.py``. Each output below is made once in each tree, by
+``python -m lefschetz.cli`` with that tree's ``src`` first on the path:
+
+- ``verify-paper``: its exit code and stdout;
+- ``witness --r R --json`` for R = 3..6, and
+  ``detm --alpha 3 --beta 3 --gamma 3 --t 7 --json``: exit code and stdout;
+- ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
+  2 and 3, and ``sweep --kind injn``: the JSON-lines records without their
+  ``wall_time`` field, and the CSV summary.
+
+The outputs are compared in that order. At the first that differs, the
+tool prints its name and the first line where the two trees part, and
+exits 1. It exits 0 when every output is the same.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = ([("verify-paper", ["verify-paper"])]
+            + [(f"witness --r {r} --json", ["witness", "--r", str(r), "--json"])
+               for r in range(3, 7)]
+            + [("detm (3,3,3,7) --json",
+                ["detm", "--alpha", "3", "--beta", "3", "--gamma", "3",
+                 "--t", "7", "--json"])])
+SWEEPS = [("half-conj", ["--kind", "half-conj", "--max-sum", "12",
+                         "--tspan", "4", "--char", "0", "--char", "2",
+                         "--char", "3"]),
+          ("injn", ["--kind", "injn"])]
+
+
+def lefschetz(tree: Path, args: list, cwd: str) -> str:
+    """Exit code and stdout of one CLI run against tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lefschetz.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    return f"exit {proc.returncode}\n{proc.stdout}"
+
+
+def sweep_outputs(tree: Path, name: str, args: list):
+    """Yield a sweep's exit code, its records without wall_time, and its
+    CSV summary."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"{name}.jsonl"
+        status = lefschetz(tree, ["sweep", *args, "--out", str(out)], tmp)
+        yield f"sweep {name}: exit code", status.splitlines()[0]
+        records = []
+        lines = out.read_text(encoding="utf-8") if out.exists() else ""
+        for line in lines.splitlines():
+            rec = json.loads(line)
+            rec.pop("wall_time", None)
+            records.append(json.dumps(rec))
+        yield f"sweep {name}: records", "\n".join(records)
+        csv = out.with_suffix(".csv")
+        yield f"sweep {name}: CSV", (csv.read_text(encoding="utf-8")
+                                     if csv.exists() else "")
+
+
+def outputs(tree: Path):
+    """Yield (name, text) for every compared output of tree, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in COMMANDS:
+            yield name, lefschetz(tree, args, tmp)
+    for name, args in SWEEPS:
+        yield from sweep_outputs(tree, name, args)
+
+
+def first_difference(a: str, b: str) -> str:
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb), start=1):
+        if x != y:
+            return f"line {i}:\n  base:   {x}\n  change: {y}"
+    i = min(len(la), len(lb)) + 1
+    return f"line {i}: base has {len(la)} lines, change has {len(lb)}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base-tree", type=Path, required=True)
+    args = ap.parse_args(argv)
+    base = args.base_tree.resolve()
+    if not (base / "src" / "lefschetz" / "__init__.py").is_file():
+        ap.error(f"no lefschetz sources under {base / 'src'}")
+    for (name, a), (_, b) in zip(outputs(base), outputs(ROOT)):
+        if a != b:
+            print(f"DIFFERENT: {name}, {first_difference(a, b)}")
+            return 1
+        print(f"same: {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
