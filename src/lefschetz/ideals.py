@@ -4,12 +4,23 @@ All quotient computations are degree-slice linear algebra: the span of a
 degree-d slice of an ideal is row-reduced against the monomial basis of R_d.
 For monomial ideals the slice span is exactly the span of the non-standard
 monomials, so quotient dimensions reduce to counting standard monomials.
+
+What does not depend on the field is computed once per process and shared:
+the standard monomials of the monomial part in each degree, their column
+index, and the socle of a monomial ideal live in a ``MonomialPart``, kept by
+``monomial_part`` in an LRU memo of MONOMIAL_PARTS entries keyed by
+(number of variables, sorted distinct monomial generators). A ``SliceCache``
+holds one of them and adds only the field-dependent echelons of the
+non-monomial slice rows, so an ideal decided in several characteristics, or
+two ideals with an equal monomial part, enumerate their monomials once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators
@@ -114,7 +125,71 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
     if not I.is_monomial:
         raise ValueError("standard monomials need a monomial ideal; "
                          "use degree-slice ranks instead")
-    return standard_monomial_tuples(I.monomial_generators, I.num_vars, d)
+    return list(shared_part(I).std(d))
+
+
+# entries the monomial_part memo keeps: an ideal decided in every
+# characteristic in turn needs one, the rest serve callers that alternate
+# between a few ideals
+MONOMIAL_PARTS = 8
+
+
+class MonomialPart:
+    """The field-independent data of a monomial ideal, filled on demand:
+    per degree the standard monomials (a tuple) and their column index (a
+    read-only mapping), and the socle once asked for. Shared between slice
+    engines through monomial_part, so none of it may be changed."""
+
+    def __init__(self, num_vars: int, mono_gens: tuple):
+        self.num_vars = num_vars
+        self.mono_gens = mono_gens
+        self._std: dict[int, tuple] = {}
+        self._index: dict[int, dict] = {}  # handed out as read-only views
+        self._socle: tuple | None = None
+
+    def std(self, d: int) -> tuple:
+        s = self._std.get(d)
+        if s is None:
+            s = tuple(standard_monomial_tuples(self.mono_gens,
+                                               self.num_vars, d))
+            self._std[d] = s
+            self._index[d] = {m: i for i, m in enumerate(s)}
+        return s
+
+    def index(self, d: int) -> MappingProxyType:
+        self.std(d)
+        return MappingProxyType(self._index[d])
+
+    def socle(self) -> tuple:
+        """Standard monomials m with every m*x_i non-standard, by degree.
+        The ideal must be Artinian: the scan stops at the first degree with
+        no standard monomials."""
+        if self._socle is None:
+            r = self.num_vars
+            socle = []
+            d = 0
+            while self.std(d):
+                above = self.index(d + 1)
+                for m in self.std(d):
+                    if not any(m[:i] + (m[i] + 1,) + m[i + 1:] in above
+                               for i in range(r)):
+                        socle.append(m)
+                d += 1
+            self._socle = tuple(socle)
+        return self._socle
+
+
+@lru_cache(maxsize=MONOMIAL_PARTS)
+def monomial_part(num_vars: int, mono_gens: tuple) -> MonomialPart:
+    """The shared MonomialPart of the monomial ideal generated by mono_gens
+    (sorted distinct exponent tuples) in num_vars variables."""
+    return MonomialPart(num_vars, mono_gens)
+
+
+def shared_part(I: HomogeneousIdeal) -> MonomialPart:
+    """The shared MonomialPart of the monomial generators of I."""
+    return monomial_part(I.num_vars,
+                         tuple(sorted(set(I.monomial_generators))))
 
 
 class SliceCache:
@@ -125,27 +200,27 @@ class SliceCache:
     those standard monomials), their echelon, and the quotient dimension. None
     of these depend on a linear form, so one engine serves the Artinian test,
     the Hilbert profile, the socle and every form a WLP decision tries.
+
+    The standard monomials, their index and the socle do not depend on the
+    field either: they come from the MonomialPart of I's monomial generators,
+    shared through the monomial_part memo (keyed by the number of variables
+    and the sorted distinct monomial generators, MONOMIAL_PARTS entries) with
+    every engine of an equal monomial part, in any characteristic. The engine
+    itself keeps only the echelons, which do depend on the field.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
         self.I = I
         self.field = field
-        self.mono_gens = I.monomial_generators
         self.poly_gens = I.polynomial_generators
-        self._std: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
+        self.shared = shared_part(I)
         self._ech: dict[int, IntRowEchelon] = {}
 
-    def std(self, d: int) -> list:
-        if d not in self._std:
-            s = standard_monomial_tuples(self.mono_gens, self.I.num_vars, d)
-            self._std[d] = s
-            self._index[d] = {m: i for i, m in enumerate(s)}
-        return self._std[d]
+    def std(self, d: int) -> tuple:
+        return self.shared.std(d)
 
-    def index(self, d: int) -> dict:
-        self.std(d)
-        return self._index[d]
+    def index(self, d: int) -> MappingProxyType:
+        return self.shared.index(d)
 
     def project(self, poly: HomogeneousPolynomial, d: int):
         """Coefficient vector of poly on the degree-d standard monomials.
@@ -179,7 +254,8 @@ class SliceCache:
         scaled once (see _scaled_terms): the rows span the same space as the
         unscaled ones."""
         terms = self._scaled_terms(poly)
-        idx = self.index(d)
+        self.std(d)
+        idx = self.shared._index[d]  # index(d) without the read-only view
         rows = []
         for m in monomials:
             row = {}
@@ -255,6 +331,16 @@ def _pure_power_vars(I: HomogeneousIdeal) -> list:
     return covered
 
 
+def _not_artinian(I: HomogeneousIdeal) -> NotArtinianError:
+    """The error for an I whose quotient is not Artinian, with the reason."""
+    missing = [i for i, c in enumerate(_pure_power_vars(I)) if not c]
+    if I.is_monomial and missing:
+        return NotArtinianError(
+            f"not Artinian: variable index {missing[0]} has no pure power")
+    return NotArtinianError(
+        f"not Artinian: no vanishing slice below degree cap {I.degree_cap()}")
+
+
 @dataclass
 class HilbertProfile:
     """Hilbert function values h(0..D) of an Artinian quotient, zeros stripped."""
@@ -286,12 +372,7 @@ def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
     Field-independent for monomial ideals (standard-monomial counting)."""
     cache = slice_engine(I, field, cache)
     if not is_artinian(I, field, cache):
-        missing = [i for i, c in enumerate(_pure_power_vars(I)) if not c]
-        if I.is_monomial and missing:
-            raise NotArtinianError(
-                f"not Artinian: variable index {missing[0]} has no pure power")
-        raise NotArtinianError(
-            f"not Artinian: no vanishing slice below degree cap {I.degree_cap()}")
+        raise _not_artinian(I)
     values = []
     d = 0
     cap = I.degree_cap() + 1
@@ -312,26 +393,19 @@ class SocleReport:
     is_level: bool
 
 
-def socle_report(I: HomogeneousIdeal, cache: SliceCache | None = None,
-                 profile: HilbertProfile | None = None) -> SocleReport:
+def socle_report(I: HomogeneousIdeal,
+                 cache: SliceCache | None = None) -> SocleReport:
     """Socle of a monomial Artinian quotient: standard monomials killed by
     every variable, that is, m with every m*x_i non-standard.
 
-    A caller that already holds the ideal's slice engine (over any field:
-    the socle of a monomial ideal does not depend on it) and Hilbert profile
-    passes them in; otherwise both are computed here."""
+    The socle does not depend on the field: a given engine may be over any
+    field, and the socle is computed once per monomial part and shared."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
-    profile = profile or hilbert_profile(I, cache.field, cache)
-    r = I.num_vars
-    socle = []
-    for d in range(profile.socle_degree + 1):
-        above = cache.index(d + 1)
-        for m in cache.std(d):
-            if not any(m[:i] + (m[i] + 1,) + m[i + 1:] in above
-                       for i in range(r)):
-                socle.append(m)
+    if not all(_pure_power_vars(I)):  # the monomial route of is_artinian
+        raise _not_artinian(I)
+    socle = list(cache.shared.socle())
     degrees = sorted(sum(m) for m in socle)
     return SocleReport(socle, degrees, len(socle), len(set(degrees)) <= 1)
 

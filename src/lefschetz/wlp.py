@@ -173,8 +173,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     """
     cache = SliceCache(I, field)
     profile = hilbert_profile(I, field, cache)
-    level = (socle_report(I, cache, profile).is_level if I.is_monomial
-             else False)
+    level = socle_report(I, cache).is_level if I.is_monomial else False
 
     special = []
     if strategy == "explicit":

@@ -181,11 +181,21 @@ def test_socle_matches_definition(case):
         assert rep.is_level == (len(set(degrees)) <= 1)
 
 
-def test_socle_report_reuses_a_given_profile():
-    I = ideal("x^3,y^3,z^3,x*y*z")
-    cache = SliceCache(I, QQ)
-    profile = hilbert_profile(I, QQ, cache)
-    assert socle_report(I, cache, profile) == socle_report(I)
+def test_socle_degrees_come_from_the_engine_not_a_given_profile():
+    # socle_report used to scan the degrees of a profile it was given: with
+    # the profile of (x^2, y^2, z^2) it found no socle of (x^3, y^3, z^3).
+    # The parameter is gone; the scan stops at the first degree with no
+    # standard monomials, and the socle it finds is shared
+    I = ideal("x^3,y^3,z^3")
+    J = ideal("x^2,y^2,z^2")
+    with pytest.raises(TypeError):
+        socle_report(I, SliceCache(I, QQ), hilbert_profile(J))
+    assert socle_report(J).socle_monomials == [(1, 1, 1)]
+    for rep in (socle_report(I, SliceCache(I, QQ)), socle_report(I),
+                socle_report(I, SliceCache(I, GF(2)))):
+        assert rep.socle_monomials == [(2, 2, 2)]
+        assert rep.socle_degrees == [6]
+        assert rep.cm_type == 1
 
 
 def test_slice_cache_dim_consistency():

@@ -1,6 +1,6 @@
 """Paired before/after runs of the WLP-decision benchmark, as BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --base-tree DIR --out BENCH_6.json \
+    python3 tools/bench_pairs.py --base-tree DIR --out BENCH_<n>.json \
         --first-seed SEED [--workload NAME ...]
 
 DIR is a checkout of the revision to compare against (for instance a

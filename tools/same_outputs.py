@@ -11,8 +11,10 @@ DIR is a checkout of the revision to compare against (for instance a
 - ``witness --r R --json`` for R = 3..6, and
   ``detm --alpha 3 --beta 3 --gamma 3 --t 7 --json``: exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
-  2 and 3, and ``sweep --kind injn``: the JSON-lines records without their
-  ``wall_time`` field, and the CSV summary.
+  2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
+  field-independent data shared between characteristics is first computed
+  in char p), and ``sweep --kind injn``: the JSON-lines records without
+  their ``wall_time`` field, and the CSV summary.
 
 The outputs are compared in that order. At the first that differs, the
 tool prints its name and the first line where the two trees part, and
@@ -37,9 +39,11 @@ COMMANDS = ([("verify-paper", ["verify-paper"])]
             + [("detm (3,3,3,7) --json",
                 ["detm", "--alpha", "3", "--beta", "3", "--gamma", "3",
                  "--t", "7", "--json"])])
-SWEEPS = [("half-conj", ["--kind", "half-conj", "--max-sum", "12",
-                         "--tspan", "4", "--char", "0", "--char", "2",
-                         "--char", "3"]),
+HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
+SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
+                                     "--char", "3"]),
+          ("half-conj-reversed", HALF_CONJ + ["--char", "3", "--char", "2",
+                                              "--char", "0"]),
           ("injn", ["--kind", "injn"])]
 
 
