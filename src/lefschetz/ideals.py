@@ -125,7 +125,7 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
     if not I.is_monomial:
         raise ValueError("standard monomials need a monomial ideal; "
                          "use degree-slice ranks instead")
-    return list(shared_part(I).std(d))
+    return list(SliceCache(I, QQ).std(d))
 
 
 # entries the monomial_part memo keeps: an ideal decided in every
@@ -186,12 +186,6 @@ def monomial_part(num_vars: int, mono_gens: tuple) -> MonomialPart:
     return MonomialPart(num_vars, mono_gens)
 
 
-def shared_part(I: HomogeneousIdeal) -> MonomialPart:
-    """The shared MonomialPart of the monomial generators of I."""
-    return monomial_part(I.num_vars,
-                         tuple(sorted(set(I.monomial_generators))))
-
-
 class SliceCache:
     """Per-(ideal, field) cache of degree-slice data: the slice engine.
 
@@ -213,7 +207,8 @@ class SliceCache:
         self.I = I
         self.field = field
         self.poly_gens = I.polynomial_generators
-        self.shared = shared_part(I)
+        self.shared = monomial_part(
+            I.num_vars, tuple(sorted(set(I.monomial_generators))))
         self._ech: dict[int, IntRowEchelon] = {}
 
     def std(self, d: int) -> tuple:
@@ -255,7 +250,7 @@ class SliceCache:
         unscaled ones."""
         terms = self._scaled_terms(poly)
         self.std(d)
-        idx = self.shared._index[d]  # index(d) without the read-only view
+        idx = self.shared._index[d]  # the dict: its read-only view is slower
         rows = []
         for m in monomials:
             row = {}
