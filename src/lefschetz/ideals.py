@@ -8,7 +8,7 @@ monomials, so quotient dimensions reduce to counting standard monomials.
 What does not depend on the field is computed once per process and shared:
 the standard monomials of the monomial part in each degree, their column
 index, and the socle of a monomial ideal live in a ``MonomialPart``, kept by
-``monomial_part`` in an LRU memo of MONOMIAL_PARTS entries keyed by
+``monomial_part`` in an LRU memo of MONOMIAL_PARTS (two) entries keyed by
 (number of variables, sorted distinct monomial generators). A ``SliceCache``
 holds one of them and adds only the field-dependent echelons of the
 non-monomial slice rows, so an ideal decided in several characteristics, or
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from operator import add
-from types import MappingProxyType
 
 from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators
@@ -129,22 +128,22 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
 
 
 # entries the monomial_part memo keeps: an ideal decided in every
-# characteristic in turn needs one, the rest serve callers that alternate
-# between a few ideals
-MONOMIAL_PARTS = 8
+# characteristic in turn needs one; verify.criterion_3, which alternates
+# between two ideals in each characteristic, needs two
+MONOMIAL_PARTS = 2
 
 
 class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
-    per degree the standard monomials (a tuple) and their column index (a
-    read-only mapping), and the socle once asked for. Shared between slice
-    engines through monomial_part, so none of it may be changed."""
+    per degree the standard monomials (a tuple) and their column index, and
+    the socle once asked for. Shared between slice engines through
+    monomial_part, so none of it may be changed."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
         self.mono_gens = mono_gens
         self._std: dict[int, tuple] = {}
-        self._index: dict[int, dict] = {}  # handed out as read-only views
+        self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
 
     def std(self, d: int) -> tuple:
@@ -156,25 +155,40 @@ class MonomialPart:
             self._index[d] = {m: i for i, m in enumerate(s)}
         return s
 
-    def index(self, d: int) -> MappingProxyType:
+    def index(self, d: int) -> dict:
+        """{standard monomial: its column} in degree d. The dict itself is
+        shared (a read-only view would slow every row built), so callers
+        only read it."""
         self.std(d)
-        return MappingProxyType(self._index[d])
+        return self._index[d]
 
     def socle(self) -> tuple:
         """Standard monomials m with every m*x_i non-standard, by degree.
-        The ideal must be Artinian: the scan stops at the first degree with
-        no standard monomials."""
+
+        With a pure power x_i^a_i of every variable no standard monomial has
+        degree above sum(a_i - 1), so the scan ends there at the latest.
+        Without one every degree has standard monomials: NotArtinianError."""
         if self._socle is None:
             r = self.num_vars
+            powers = {}
+            for g in self.mono_gens:
+                support = [i for i, a in enumerate(g) if a]
+                if len(support) == 1:
+                    i = support[0]
+                    powers[i] = min(g[i], powers.get(i, g[i]))
+            missing = [i for i in range(r) if i not in powers]
+            if missing:
+                raise NotArtinianError(f"not Artinian: variable index "
+                                       f"{missing[0]} has no pure power")
             socle = []
-            d = 0
-            while self.std(d):
+            for d in range(sum(powers.values()) - r + 1):
+                if not self.std(d):
+                    break
                 above = self.index(d + 1)
                 for m in self.std(d):
                     if not any(m[:i] + (m[i] + 1,) + m[i + 1:] in above
                                for i in range(r)):
                         socle.append(m)
-                d += 1
             self._socle = tuple(socle)
         return self._socle
 
@@ -198,9 +212,9 @@ class SliceCache:
     The standard monomials, their index and the socle do not depend on the
     field either: they come from the MonomialPart of I's monomial generators,
     shared through the monomial_part memo (keyed by the number of variables
-    and the sorted distinct monomial generators, MONOMIAL_PARTS entries) with
-    every engine of an equal monomial part, in any characteristic. The engine
-    itself keeps only the echelons, which do depend on the field.
+    and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
+    with every engine of an equal monomial part, in any characteristic. The
+    engine itself keeps only the echelons, which do depend on the field.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -214,7 +228,7 @@ class SliceCache:
     def std(self, d: int) -> tuple:
         return self.shared.std(d)
 
-    def index(self, d: int) -> MappingProxyType:
+    def index(self, d: int) -> dict:
         return self.shared.index(d)
 
     def project(self, poly: HomogeneousPolynomial, d: int):
@@ -249,8 +263,7 @@ class SliceCache:
         scaled once (see _scaled_terms): the rows span the same space as the
         unscaled ones."""
         terms = self._scaled_terms(poly)
-        self.std(d)
-        idx = self.shared._index[d]  # the dict: its read-only view is slower
+        idx = self.index(d)
         rows = []
         for m in monomials:
             row = {}
@@ -398,7 +411,7 @@ def socle_report(I: HomogeneousIdeal,
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
-    if not all(_pure_power_vars(I)):  # the monomial route of is_artinian
+    if not is_artinian(I, cache.field, cache):
         raise _not_artinian(I)
     socle = list(cache.shared.socle())
     degrees = sorted(sum(m) for m in socle)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import ideals
 from lefschetz.families import Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
@@ -225,6 +226,32 @@ def test_socle_non_level():
     rep = socle_report(parse_ideal("x^2,y^4,x*y^2", ["x", "y"], QQ))
     assert not rep.is_level
     assert rep.socle_degrees == [2, 3]  # x*y and y^3
+
+
+def test_socle_of_a_non_artinian_ideal_is_an_error(monkeypatch):
+    # every degree of k[x,y,z]/(x^2, y^2) has a standard monomial z^d, so a
+    # socle scan without the pure-power check would never end; the degrees
+    # the enumeration is asked for are capped here so that it fails instead
+    enumerate_ = ideals.standard_monomial_tuples
+    asked = []
+
+    def capped(gens, r, d):
+        assert d < 50, "the socle scan does not stop"
+        asked.append(d)
+        return enumerate_(gens, r, d)
+
+    monkeypatch.setattr(ideals, "standard_monomial_tuples", capped)
+    ideals.monomial_part.cache_clear()
+    I = ideal("x^2,y^2")
+    for cache in (None, SliceCache(I, GF(3))):
+        with pytest.raises(NotArtinianError, match="2 has no pure power"):
+            socle_report(I, cache)
+    with pytest.raises(NotArtinianError, match="2 has no pure power"):
+        SliceCache(I, QQ).shared.socle()
+    # an Artinian part is scanned no further than sum(a_i - 1) + 1
+    asked.clear()
+    assert SliceCache(ideal("x^2,y^2,z^2"), QQ).shared.socle() == ((1, 1, 1),)
+    assert max(asked) <= 4
 
 
 def test_restriction_drops_variable():
