@@ -13,6 +13,8 @@ index, and the socle of a monomial ideal live in a ``MonomialPart``, kept by
 holds one of them and adds only the field-dependent echelons of the
 non-monomial slice rows, so an ideal decided in several characteristics, or
 two ideals with an equal monomial part, enumerate their monomials once.
+The engine also owns the Hilbert profile (a ``HilbertProfile``, the one
+type for Hilbert functions and h-vectors) and the Artinian test that reads it.
 """
 
 from __future__ import annotations
@@ -66,10 +68,15 @@ class NotArtinianError(ValueError):
 
 def parse_ideal(text: str, variables, field: FieldSpec) -> HomogeneousIdeal:
     gens = parse_generators(text, variables, field)
-    for g in gens:
-        if g.is_zero:
-            raise ValueError("generator reduces to zero in the field")
+    _require_nonzero(gens, field)
     return HomogeneousIdeal(len(list(variables)), gens)
+
+
+def _require_nonzero(gens, field: FieldSpec):
+    """ValueError for a generator with no coefficient nonzero in field."""
+    for g in gens:
+        if not any(field.reduce(c) for c in g.terms.values()):
+            raise ValueError("generator reduces to zero in the field")
 
 
 def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
@@ -137,11 +144,25 @@ class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
     per degree the standard monomials (a tuple) and their column index, and
     the socle once asked for. Shared between slice engines through
-    monomial_part, so none of it may be changed."""
+    monomial_part, so none of it may be changed.
+
+    Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
+    a generator (0 for none), and ``reason`` names the first variable with
+    none, why the quotient is not Artinian ("" when every variable has one).
+    """
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
         self.mono_gens = mono_gens
+        powers = [0] * num_vars
+        for g in mono_gens:
+            support = [i for i, a in enumerate(g) if a]
+            if len(support) == 1:
+                i = support[0]
+                powers[i] = min(g[i], powers[i] or g[i])
+        self.powers = tuple(powers)
+        self.reason = (f"not Artinian: variable index {powers.index(0)} has "
+                       "no pure power" if 0 in powers else "")
         self._std: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
@@ -167,21 +188,14 @@ class MonomialPart:
 
         With a pure power x_i^a_i of every variable no standard monomial has
         degree above sum(a_i - 1), so the scan ends there at the latest.
-        Without one every degree has standard monomials: NotArtinianError."""
+        Without one every degree has standard monomials: NotArtinianError,
+        with ``reason``."""
         if self._socle is None:
+            if self.reason:
+                raise NotArtinianError(self.reason)
             r = self.num_vars
-            powers = {}
-            for g in self.mono_gens:
-                support = [i for i, a in enumerate(g) if a]
-                if len(support) == 1:
-                    i = support[0]
-                    powers[i] = min(g[i], powers.get(i, g[i]))
-            missing = [i for i in range(r) if i not in powers]
-            if missing:
-                raise NotArtinianError(f"not Artinian: variable index "
-                                       f"{missing[0]} has no pure power")
             socle = []
-            for d in range(sum(powers.values()) - r + 1):
+            for d in range(sum(self.powers) - r + 1):
                 if not self.std(d):
                     break
                 above = self.index(d + 1)
@@ -207,23 +221,27 @@ class SliceCache:
     the slice rows contributed by the non-monomial generators (projected onto
     those standard monomials), their echelon, and the quotient dimension. None
     of these depend on a linear form, so one engine serves the Artinian test,
-    the Hilbert profile, the socle and every form a WLP decision tries.
+    the Hilbert profile, the socle and every form a WLP decision tries. It
+    computes the profile once, and the Artinian test reads it (not_artinian,
+    the one source of a NotArtinianError's reason); a generator that
+    vanishes in the field raises ValueError.
 
     The standard monomials, their index and the socle do not depend on the
     field either: they come from the MonomialPart of I's monomial generators,
     shared through the monomial_part memo (keyed by the number of variables
     and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
-    with every engine of an equal monomial part, in any characteristic. The
-    engine itself keeps only the echelons, which do depend on the field.
+    with every engine of an equal monomial part, in any characteristic.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
+        _require_nonzero(I.generators, field)
         self.I = I
         self.field = field
         self.poly_gens = I.polynomial_generators
         self.shared = monomial_part(
             I.num_vars, tuple(sorted(set(I.monomial_generators))))
         self._ech: dict[int, IntRowEchelon] = {}
+        self._profile: HilbertProfile | None = None
 
     def std(self, d: int) -> tuple:
         return self.shared.std(d)
@@ -258,10 +276,15 @@ class SliceCache:
 
     def multiple_rows(self, poly: HomogeneousPolynomial, monomials,
                       d: int) -> list:
-        """The nonzero rows of poly*m for m in monomials, in that order, as
-        {column: entry} dicts on the degree-d standard monomials, with poly
-        scaled once (see _scaled_terms): the rows span the same space as the
-        unscaled ones."""
+        """The rows of poly*m, one for each m in monomials, in that order, as
+        {column: entry} dicts on the degree-d standard monomials (empty where
+        the product lies in the monomial part), with poly scaled once (see
+        _scaled_terms): the rows span the same space as the unscaled ones.
+        Every form passes here: one in another number of variables raises
+        ValueError."""
+        if poly.num_vars != self.I.num_vars:
+            raise ValueError(f"a polynomial in {poly.num_vars} variables for "
+                             f"an ideal in {self.I.num_vars}")
         terms = self._scaled_terms(poly)
         idx = self.index(d)
         rows = []
@@ -271,8 +294,7 @@ class SliceCache:
                 i = idx.get(tuple(map(add, m, e)))
                 if i is not None:
                     row[i] = c  # distinct terms land on distinct columns
-            if row:
-                rows.append(row)
+            rows.append(row)
         return rows
 
     def _scaled_terms(self, poly: HomogeneousPolynomial) -> list:
@@ -298,6 +320,30 @@ class SliceCache:
             self._ech[d] = ech
         return self._ech[d]
 
+    def not_artinian(self) -> str:
+        """Why R/I is not Artinian, or "" when it is. With a pure power of
+        every variable it is; a monomial ideal without one is not, for its
+        monomial part's reason; otherwise R/I is Artinian exactly when the
+        profile vanishes by the degree cap."""
+        reason = self.shared.reason
+        if reason and not self.I.is_monomial:
+            cap = self.I.degree_cap()
+            reason = "" if len(self.profile()) <= cap else (
+                f"not Artinian: no vanishing slice below degree cap {cap}")
+        return reason
+
+    def profile(self) -> HilbertProfile:
+        """h(d) = dim (R/I)_d from d = 0 until it vanishes, or up to the
+        degree cap + 1, computed once: the Hilbert function when R/I is
+        Artinian, which hilbert_profile tests first."""
+        if self._profile is None:
+            cap = self.I.degree_cap() + 1
+            values = [self.dim(0)]
+            while values[-1] and len(values) <= cap:
+                values.append(self.dim(len(values)))
+            self._profile = HilbertProfile(tuple(values))
+        return self._profile
+
 
 def slice_engine(I: HomogeneousIdeal, field: FieldSpec,
                  cache: SliceCache | None = None) -> SliceCache:
@@ -315,43 +361,15 @@ def slice_engine(I: HomogeneousIdeal, field: FieldSpec,
 def is_artinian(I: HomogeneousIdeal, field: FieldSpec = QQ,
                 cache: SliceCache | None = None) -> bool:
     """Artinian test: pure powers of every variable (monomial route), or a
-    vanishing Hilbert slice below the degree cap (general route)."""
-    cache = slice_engine(I, field, cache)
-    covered = _pure_power_vars(I)
-    if all(covered):
-        return True
-    if I.is_monomial:
-        return False
-    for d in range(1, I.degree_cap() + 1):
-        if cache.dim(d) == 0:
-            return True
-    return False
-
-
-def _pure_power_vars(I: HomogeneousIdeal) -> list:
-    covered = [False] * I.num_vars
-    if I.num_vars == 0:
-        return covered
-    for e in I.monomial_generators:
-        nz = [i for i, a in enumerate(e) if a]
-        if len(nz) == 1:
-            covered[nz[0]] = True
-    return covered
-
-
-def _not_artinian(I: HomogeneousIdeal) -> NotArtinianError:
-    """The error for an I whose quotient is not Artinian, with the reason."""
-    missing = [i for i, c in enumerate(_pure_power_vars(I)) if not c]
-    if I.is_monomial and missing:
-        return NotArtinianError(
-            f"not Artinian: variable index {missing[0]} has no pure power")
-    return NotArtinianError(
-        f"not Artinian: no vanishing slice below degree cap {I.degree_cap()}")
+    vanishing Hilbert slice below the degree cap (general route), read from
+    the engine (SliceCache.not_artinian)."""
+    return not slice_engine(I, field, cache).not_artinian()
 
 
 @dataclass
 class HilbertProfile:
-    """Hilbert function values h(0..D) of an Artinian quotient, zeros stripped."""
+    """An Artinian Hilbert function, or h-vector, h(0..D): trailing zeros
+    stripped, and starting with h(0) = 1 (else ValueError)."""
 
     values: tuple
 
@@ -359,15 +377,24 @@ class HilbertProfile:
         vals = list(self.values)
         while vals and vals[-1] == 0:
             vals.pop()
+        if not vals or vals[0] != 1:
+            raise ValueError("h-vector must start with 1")
         self.values = tuple(vals)
 
     @property
-    def socle_degree(self) -> int | None:
-        """Top nonzero degree; None for the zero algebra."""
-        return len(self.values) - 1 if self.values else None
+    def socle_degree(self) -> int:
+        """Top nonzero degree."""
+        return len(self.values) - 1
+
+    @property
+    def is_symmetric(self) -> bool:
+        return self.values == self.values[::-1]
 
     def __iter__(self):
         return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
 
     def __getitem__(self, d: int) -> int:
         return self.values[d] if 0 <= d < len(self.values) else 0
@@ -375,22 +402,15 @@ class HilbertProfile:
 
 def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
                     cache: SliceCache | None = None) -> HilbertProfile:
-    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes.
+    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes, once
+    per engine. NotArtinianError, with the engine's reason, when R/I is not
+    Artinian.
 
     Field-independent for monomial ideals (standard-monomial counting)."""
     cache = slice_engine(I, field, cache)
     if not is_artinian(I, field, cache):
-        raise _not_artinian(I)
-    values = []
-    d = 0
-    cap = I.degree_cap() + 1
-    while d <= cap:
-        h = cache.dim(d)
-        values.append(h)
-        if h == 0 and d > 0:
-            break
-        d += 1
-    return HilbertProfile(tuple(values))
+        raise NotArtinianError(cache.not_artinian())
+    return cache.profile()
 
 
 @dataclass
@@ -407,12 +427,11 @@ def socle_report(I: HomogeneousIdeal,
     every variable, that is, m with every m*x_i non-standard.
 
     The socle does not depend on the field: a given engine may be over any
-    field, and the socle is computed once per monomial part and shared."""
+    field, and the socle is computed once per monomial part and shared; it
+    raises the engine's NotArtinianError, whose reason is the part's."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
-    if not is_artinian(I, cache.field, cache):
-        raise _not_artinian(I)
     socle = list(cache.shared.socle())
     degrees = sorted(sum(m) for m in socle)
     return SocleReport(socle, degrees, len(socle), len(set(degrees)) <= 1)

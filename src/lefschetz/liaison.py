@@ -4,6 +4,10 @@ The Hilbert-function shadow of a basic double link ell*I + J is
 h'(j) = h_I(j-1) + Delta h_J(j), and the first difference of the complete
 intersection J is always realized as the h-vector of the Artinian complete
 intersection obtained by adding the missing variable.
+
+Every h-vector here is an ``ideals.HilbertProfile``, the type that
+``hilbert_profile`` returns, so a computed Hilbert function and a predicted
+one compare as objects.
 """
 
 from __future__ import annotations
@@ -11,36 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-
-@dataclass
-class HVector:
-    """An Artinian Hilbert function (or CI h-vector), trailing zeros stripped."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = list(self.values)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        if not vals or vals[0] != 1:
-            raise ValueError("h-vector must start with 1")
-        self.values = tuple(vals)
-
-    def __getitem__(self, j: int) -> int:
-        return self.values[j] if 0 <= j < len(self.values) else 0
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.values == self.values[::-1]
+from .ideals import HilbertProfile
 
 
-def ci_hvector(degrees) -> HVector:
+def ci_hvector(degrees) -> HilbertProfile:
     """Coefficients of prod_i (1 + q + ... + q^(d_i - 1))."""
     degrees = list(degrees)
     if not degrees:
@@ -52,20 +30,20 @@ def ci_hvector(degrees) -> HVector:
             for j in range(d):
                 out[i + j] += c
         coeffs = out
-    return HVector(tuple(coeffs))
+    return HilbertProfile(tuple(coeffs))
 
 
-def bdl_step(h_I: HVector, h_J_delta: HVector) -> HVector:
+def bdl_step(h_I: HilbertProfile, h_J_delta: HilbertProfile) -> HilbertProfile:
     """One basic double link: h'(j) = h_I(j-1) + h_J_delta(j)."""
     n = max(len(h_I) + 1, len(h_J_delta))
-    return HVector(tuple(h_I[j - 1] + h_J_delta[j] for j in range(n)))
+    return HilbertProfile(tuple(h_I[j - 1] + h_J_delta[j] for j in range(n)))
 
 
 @dataclass
 class ChainRow:
     label: str
     link_degrees: tuple  # CI degrees whose h-vector was added (empty for the seed)
-    hvector: HVector
+    hvector: HilbertProfile
 
 
 def bdl_chain(r: int, variant: str = "Irr") -> list:

@@ -91,7 +91,7 @@ def criterion_4():
         return False, f"final row {tuple(rows[-1].hvector)}"
     for i in range(1, 6):
         I = chain_ideal(5, i)
-        if tuple(hilbert_profile(I)) != tuple(rows[i - 1].hvector):
+        if hilbert_profile(I) != rows[i - 1].hvector:
             return False, f"J{i}: chain row != direct Hilbert function"
         v = wlp_check(I, QQ)
         if v.failure_degrees != _R5_CHAIN_FAILURES[i]:

@@ -9,6 +9,10 @@ Verdict strategy: for monomial ideals the all-ones form decides the WLP
 then seeded random forms with all coordinates nonzero are tried, each
 distinct form once (over a small field the candidates repeat), and any
 success certifies the WLP.
+
+Each function reads one slice engine's Hilbert profile: a non-Artinian R/I
+raises its NotArtinianError, and the engine rejects a form in another number
+of variables with ValueError.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import random
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
-                     hilbert_profile, is_artinian, slice_engine, socle_report)
+from .ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
+                     slice_engine, socle_report)
 from .matrices import clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
@@ -62,14 +66,13 @@ class WLPVerdict:
 def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
                   field: FieldSpec, cache: SliceCache | None = None) -> dict:
     """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}; its cokernel has
-    dimension h_de - rank."""
+    dimension h_de - rank. The dimensions are read off the engine's Hilbert
+    profile, so a non-Artinian R/I raises its NotArtinianError."""
     cache = slice_engine(I, field, cache)
-    if not is_artinian(I, field, cache):
-        raise NotArtinianError("not Artinian")
+    h = hilbert_profile(I, field, cache)
     de = d + F.degree
-    h_d, h_de = cache.dim(d), cache.dim(de)
-    rank = _map_rank(cache, F, d, de) if h_d and h_de else 0
-    return {"h_d": h_d, "h_de": h_de, "rank": rank}
+    rank = _map_rank(cache, F, d, de) if h[d] and h[de] else 0
+    return {"h_d": h[d], "h_de": h[de], "rank": rank}
 
 
 def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int) -> int:
@@ -221,17 +224,15 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     form on (R/I)_d, or None if the map is injective.
 
     The returned element is re-verified: nonzero modulo the degree-d slice,
-    with its image inside the degree-(d+1) slice span."""
+    with its image inside the degree-(d+1) slice span. A non-Artinian R/I
+    raises the NotArtinianError of the engine's Hilbert profile."""
     cache = SliceCache(I, field)
-    if not is_artinian(I, field, cache):
-        raise NotArtinianError("not Artinian")
+    if not hilbert_profile(I, field, cache)[d]:
+        return None  # (R/I)_d = 0
     L = form if form is not None else _all_ones(I.num_vars, field)
     std_d = cache.std(d)
-    if not std_d:
-        return None
-    # row i is L*std_d[i] on the degree-(d+1) standard monomials, empty when
-    # the product lies in the monomial part, so rows stay aligned with std_d
-    rows = [(cache.multiple_rows(L, [m], d + 1) or [{}])[0] for m in std_d]
+    # row i is L*std_d[i], so the relations' entries follow std_d
+    rows = cache.multiple_rows(L, std_d, d + 1)
     ech_d = cache.echelon(d)
     for vec in cache.echelon(d + 1).relations(rows):
         if not any(ech_d.reduce(vec)):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz.liaison import (HVector, bdl_chain, bdl_step, ci_hvector,
-                               diff_of_hf_check)
+from lefschetz.ideals import HilbertProfile
+from lefschetz.liaison import bdl_chain, bdl_step, ci_hvector, diff_of_hf_check
 
 J5_ROW = (1, 5, 15, 35, 70, 120, 180, 240, 285, 300,
           280, 230, 165, 100, 50, 20, 5)
@@ -31,15 +31,15 @@ def test_ci_hvector_symmetric_and_positive(degrees):
 
 
 def test_bdl_step_shift_and_add():
-    h = bdl_step(HVector((1, 1)), ci_hvector([2, 2]))
+    h = bdl_step(HilbertProfile((1, 1)), ci_hvector([2, 2]))
     # h'(j) = h(j-1) + delta(j): (1,2,1) + (0,1,1) = (1,3,2)
     assert tuple(h) == (1, 3, 2)
 
 
 def test_hvector_strips_zeros_and_validates():
-    assert tuple(HVector((1, 2, 0, 0))) == (1, 2)
+    assert tuple(HilbertProfile((1, 2, 0, 0))) == (1, 2)
     with pytest.raises(ValueError):
-        HVector((2, 1))
+        HilbertProfile((2, 1))
 
 
 def test_chain_r5_table():

@@ -10,6 +10,10 @@ DIR is a checkout of the revision to compare against (for instance a
 - ``verify-paper``: its exit code and stdout;
 - ``witness --r R --json`` for R = 3..6, and
   ``detm --alpha 3 --beta 3 --gamma 3 --t 7 --json``: exit code and stdout;
+- ``chain --r R --family F --json`` for R = 3..7 and F = irr, jr (the
+  h-vector calculus), ``hilbert --family jr --r 4 --char 0 --char 5 --json``
+  and ``wlp --family jr --r 4 --char 0 --char 2 --char 5 --json`` (a
+  non-monomial ideal's Hilbert profile and verdicts): exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -38,7 +42,16 @@ COMMANDS = ([("verify-paper", ["verify-paper"])]
                for r in range(3, 7)]
             + [("detm (3,3,3,7) --json",
                 ["detm", "--alpha", "3", "--beta", "3", "--gamma", "3",
-                 "--t", "7", "--json"])])
+                 "--t", "7", "--json"])]
+            + [(f"chain --r {r} --family {fam} --json",
+                ["chain", "--r", str(r), "--family", fam, "--json"])
+               for r in range(3, 8) for fam in ("irr", "jr")]
+            + [("hilbert Jr(4) chars 0, 5 --json",
+                ["hilbert", "--family", "jr", "--r", "4", "--char", "0",
+                 "--char", "5", "--json"]),
+               ("wlp Jr(4) chars 0, 2, 5 --json",
+                ["wlp", "--family", "jr", "--r", "4", "--char", "0",
+                 "--char", "2", "--char", "5", "--json"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
