@@ -266,12 +266,13 @@ class SliceCache:
     def slice_rows(self, d: int) -> list:
         """Sparse integer (char 0) or residue (char p) rows spanning the
         non-monomial part of the ideal slice in degree d, projected to
-        standard monomials."""
+        standard monomials; the empty ones (products inside the monomial
+        part, most of them in high degrees) are dropped."""
         rows = []
         for g in self.poly_gens:
             if g.degree <= d:
-                rows += self.multiple_rows(
-                    g, degree_monomials(self.I.num_vars, d - g.degree), d)
+                rows += filter(None, self.multiple_rows(
+                    g, degree_monomials(self.I.num_vars, d - g.degree), d))
         return rows
 
     def multiple_rows(self, poly: HomogeneousPolynomial, monomials,

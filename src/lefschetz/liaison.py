@@ -5,9 +5,8 @@ h'(j) = h_I(j-1) + Delta h_J(j), and the first difference of the complete
 intersection J is always realized as the h-vector of the Artinian complete
 intersection obtained by adding the missing variable.
 
-Every h-vector here is an ``ideals.HilbertProfile``, the type that
-``hilbert_profile`` returns, so a computed Hilbert function and a predicted
-one compare as objects.
+Every h-vector here is an ``ideals.HilbertProfile``, as ``hilbert_profile``
+returns, so a predicted and a computed one compare as objects.
 """
 
 from __future__ import annotations
