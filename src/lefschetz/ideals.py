@@ -14,7 +14,7 @@ holds one of them and adds only the field-dependent echelons of the
 non-monomial slice rows, so an ideal decided in several characteristics, or
 two ideals with an equal monomial part, enumerate their monomials once.
 The engine also owns the Hilbert profile (a ``HilbertProfile``, the one
-type for Hilbert functions and h-vectors) and the Artinian test that reads it.
+type for Hilbert functions and h-vectors) and the Artinian test.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ def parse_ideal(text: str, variables, field: FieldSpec) -> HomogeneousIdeal:
 
 def _require_nonzero(gens, field: FieldSpec):
     """ValueError for a generator with no coefficient nonzero in field."""
-    for g in gens:
-        if not any(field.reduce(c) for c in g.terms.values()):
-            raise ValueError("generator reduces to zero in the field")
+    if not all(any(map(field.reduce, g.terms.values())) for g in gens):
+        raise ValueError("generator reduces to zero in the field")
 
 
 def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
@@ -147,9 +146,8 @@ class MonomialPart:
     monomial_part, so none of it may be changed.
 
     Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
-    a generator (0 for none), and ``reason`` names the first variable with
-    none, why the quotient is not Artinian ("" when every variable has one).
-    """
+    a generator (0 for none); ``reason`` names a variable with none ("" when
+    there is none), why the quotient is not Artinian."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -222,9 +220,8 @@ class SliceCache:
     those standard monomials), their echelon, and the quotient dimension. None
     of these depend on a linear form, so one engine serves the Artinian test,
     the Hilbert profile, the socle and every form a WLP decision tries. It
-    computes the profile once, and the Artinian test reads it (not_artinian,
-    the one source of a NotArtinianError's reason); a generator that
-    vanishes in the field raises ValueError.
+    decides the first and computes the second once; not_artinian gives every
+    NotArtinianError its reason. A generator that vanishes raises ValueError.
 
     The standard monomials, their index and the socle do not depend on the
     field either: they come from the MonomialPart of I's monomial generators,
@@ -241,6 +238,7 @@ class SliceCache:
         self.shared = monomial_part(
             I.num_vars, tuple(sorted(set(I.monomial_generators))))
         self._ech: dict[int, IntRowEchelon] = {}
+        self._reason: str | None = None
         self._profile: HilbertProfile | None = None
 
     def std(self, d: int) -> tuple:
@@ -266,8 +264,8 @@ class SliceCache:
     def slice_rows(self, d: int) -> list:
         """Sparse integer (char 0) or residue (char p) rows spanning the
         non-monomial part of the ideal slice in degree d, projected to
-        standard monomials; the empty ones (products inside the monomial
-        part, most of them in high degrees) are dropped."""
+        standard monomials, without the empty ones (products inside the
+        monomial part), which in high degrees are most of them."""
         rows = []
         for g in self.poly_gens:
             if g.degree <= d:
@@ -280,9 +278,8 @@ class SliceCache:
         """The rows of poly*m, one for each m in monomials, in that order, as
         {column: entry} dicts on the degree-d standard monomials (empty where
         the product lies in the monomial part), with poly scaled once (see
-        _scaled_terms): the rows span the same space as the unscaled ones.
-        Every form passes here: one in another number of variables raises
-        ValueError."""
+        _scaled_terms): the rows span the same space as the unscaled ones. A
+        form in another number of variables raises ValueError."""
         if poly.num_vars != self.I.num_vars:
             raise ValueError(f"a polynomial in {poly.num_vars} variables for "
                              f"an ideal in {self.I.num_vars}")
@@ -322,25 +319,31 @@ class SliceCache:
         return self._ech[d]
 
     def not_artinian(self) -> str:
-        """Why R/I is not Artinian, or "" when it is. With a pure power of
-        every variable it is; a monomial ideal without one is not, for its
-        monomial part's reason; otherwise R/I is Artinian exactly when the
-        profile vanishes by the degree cap."""
-        reason = self.shared.reason
-        if reason and not self.I.is_monomial:
-            cap = self.I.degree_cap()
-            reason = "" if len(self.profile()) <= cap else (
-                f"not Artinian: no vanishing slice below degree cap {cap}")
-        return reason
+        """Why R/I is not Artinian ("" when it is), decided once: a monomial
+        ideal by its pure powers; any other by those or else by a vanishing
+        slice up to the degree cap."""
+        if self._reason is None:
+            self._reason = self.shared.reason
+            if self._reason and not self.I.is_monomial:
+                cap = self.I.degree_cap()
+                self._reason = "" if any(
+                    self.dim(d) == 0 for d in range(1, cap + 1)) else (
+                    f"not Artinian: no vanishing slice below degree cap {cap}")
+        return self._reason
+
+    def require_artinian(self):
+        """NotArtinianError, with not_artinian's reason, unless R/I is
+        Artinian; asked through is_artinian, which traces time as the test."""
+        if not is_artinian(self.I, self.field, self):
+            raise NotArtinianError(self.not_artinian())
 
     def profile(self) -> HilbertProfile:
-        """h(d) = dim (R/I)_d from d = 0 until it vanishes, or up to the
-        degree cap + 1, computed once: the Hilbert function when R/I is
-        Artinian, which hilbert_profile tests first."""
+        """h(d) = dim (R/I)_d from d = 0 until it vanishes, computed once;
+        NotArtinianError when R/I is not Artinian."""
         if self._profile is None:
-            cap = self.I.degree_cap() + 1
+            self.require_artinian()
             values = [self.dim(0)]
-            while values[-1] and len(values) <= cap:
+            while values[-1]:
                 values.append(self.dim(len(values)))
             self._profile = HilbertProfile(tuple(values))
         return self._profile
@@ -408,10 +411,7 @@ def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
     Artinian.
 
     Field-independent for monomial ideals (standard-monomial counting)."""
-    cache = slice_engine(I, field, cache)
-    if not is_artinian(I, field, cache):
-        raise NotArtinianError(cache.not_artinian())
-    return cache.profile()
+    return slice_engine(I, field, cache).profile()
 
 
 @dataclass

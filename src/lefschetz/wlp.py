@@ -10,9 +10,8 @@ then seeded random forms with all coordinates nonzero are tried, each
 distinct form once (over a small field the candidates repeat), and any
 success certifies the WLP.
 
-Each function reads one slice engine's Hilbert profile: a non-Artinian R/I
-raises its NotArtinianError, and the engine rejects a form in another number
-of variables with ValueError.
+Each function reads one slice engine: NotArtinianError for a non-Artinian
+R/I, ValueError for a form in another number of variables.
 """
 
 from __future__ import annotations
@@ -66,13 +65,13 @@ class WLPVerdict:
 def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
                   field: FieldSpec, cache: SliceCache | None = None) -> dict:
     """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}; its cokernel has
-    dimension h_de - rank. The dimensions are read off the engine's Hilbert
-    profile, so a non-Artinian R/I raises its NotArtinianError."""
+    dimension h_de - rank."""
     cache = slice_engine(I, field, cache)
-    h = hilbert_profile(I, field, cache)
+    cache.require_artinian()
     de = d + F.degree
-    rank = _map_rank(cache, F, d, de) if h[d] and h[de] else 0
-    return {"h_d": h[d], "h_de": h[de], "rank": rank}
+    h_d, h_de = cache.dim(d), cache.dim(de)
+    rank = _map_rank(cache, F, d, de) if h_d and h_de else 0
+    return {"h_d": h_d, "h_de": h_de, "rank": rank}
 
 
 def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int) -> int:
@@ -224,10 +223,10 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     form on (R/I)_d, or None if the map is injective.
 
     The returned element is re-verified: nonzero modulo the degree-d slice,
-    with its image inside the degree-(d+1) slice span. A non-Artinian R/I
-    raises the NotArtinianError of the engine's Hilbert profile."""
+    with its image inside the degree-(d+1) slice span."""
     cache = SliceCache(I, field)
-    if not hilbert_profile(I, field, cache)[d]:
+    cache.require_artinian()
+    if not cache.dim(d):
         return None  # (R/I)_d = 0
     L = form if form is not None else _all_ones(I.num_vars, field)
     std_d = cache.std(d)

@@ -95,8 +95,8 @@ def test_generator_vanishing_in_the_decision_field_rejected():
 
 def test_kernel_witness_scales_its_form_once(monkeypatch):
     """One multiple_rows call for the form's rows: beyond what the engine's
-    profile and echelons need, one clear_denominators call (there were 71,
-    one per row)."""
+    echelons need, one clear_denominators call (there were 71, one per
+    row)."""
     calls = []
     clear = ideals.clear_denominators
 
@@ -107,7 +107,6 @@ def test_kernel_witness_scales_its_form_once(monkeypatch):
     monkeypatch.setattr(ideals, "clear_denominators", counted)
     I = make_ideal(Jr(5), QQ)
     cache = SliceCache(I, QQ)
-    hilbert_profile(I, QQ, cache)
     cache.echelon(4), cache.echelon(5)
     engine_calls = len(calls)
     calls.clear()
