@@ -280,9 +280,7 @@ class SliceCache:
         the product lies in the monomial part), with poly scaled once (see
         _scaled_terms): the rows span the same space as the unscaled ones. A
         form in another number of variables raises ValueError."""
-        if poly.num_vars != self.I.num_vars:
-            raise ValueError(f"a polynomial in {poly.num_vars} variables for "
-                             f"an ideal in {self.I.num_vars}")
+        self.require_same_ring(poly)
         terms = self._scaled_terms(poly)
         idx = self.index(d)
         rows = []
@@ -294,6 +292,13 @@ class SliceCache:
                     row[i] = c  # distinct terms land on distinct columns
             rows.append(row)
         return rows
+
+    def require_same_ring(self, poly: HomogeneousPolynomial):
+        """ValueError for a polynomial in another number of variables than
+        the ideal: no map of the quotient is multiplication by it."""
+        if poly.num_vars != self.I.num_vars:
+            raise ValueError(f"a polynomial in {poly.num_vars} variables for "
+                             f"an ideal in {self.I.num_vars}")
 
     def _scaled_terms(self, poly: HomogeneousPolynomial) -> list:
         """(exponent, coefficient) pairs of a nonzero multiple of poly with

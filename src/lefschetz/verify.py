@@ -275,9 +275,11 @@ def criterion_11():
 
 
 def criterion_12():
-    """Internal cross-checks: plateau shortcut vs full scan, cokernel duality
-    against restriction, h-vector symmetry, JSON round-trip, and
-    deterministic re-runs."""
+    """Internal cross-checks: Prop. 2.1 propagation (ranks read up from the
+    first surjective step and, in a level algebra, down from the first
+    injective one) vs the full scan, cokernel duality against restriction,
+    h-vector symmetry, JSON round-trip, and deterministic re-runs. The
+    "shortcut" of the printed message is that propagation."""
     import tempfile
     from pathlib import Path
 

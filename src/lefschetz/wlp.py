@@ -4,6 +4,24 @@ The rank of x F : (R/I)_d -> (R/I)_{d+e} is computed as
 rank(slice(I)_{d+e} plus the rows F*m) minus rank(slice(I)_{d+e}), with all
 rows projected onto the standard monomials of the monomial part of I.
 
+Per-degree ranks (Prop. 2.1 of the source paper, for any linear form L and
+any field). Write A = R/I, h its Hilbert function and D its socle degree.
+- (a) If x L : A_d -> A_{d+1} is onto, so is the next map, in any A:
+  A_{d+2} = A_1 A_{d+1} = A_1 L A_d = L A_1 A_d, inside L A_{d+1}.
+- (b) If A is level and x L : A_d -> A_{d+1} is injective, so is the map
+  from A_{d-1}: take a in A_{d-1} with L a = 0. Then L (x a) = 0 for every
+  linear x, so x a = 0 by injectivity in degree d, and a is in the socle.
+  The socle of a level algebra lies in degree D > d - 1 alone, so a = 0.
+So a WLP decision computes the maps up from the first step with
+h_d >= h_{d+1} (no earlier step is onto) to the first surjective step d_s,
+and, for a level algebra, down from d_s to the first injective step d_i.
+Degrees above d_s have rank h_{d+1}, degrees below d_i rank h_d, and each
+degree between is computed once. In a level algebra every degree strictly
+between d_i and d_s fails (neither onto, being below d_s, nor injective,
+being above d_i), so a WLP that holds at a plateau h_p = h_{p+1} takes one
+map, and a failure its failing degrees and at most the two steps around
+them. DegreeReport.path says which of the three gave a degree its rank.
+
 Verdict strategy: for monomial ideals the all-ones form decides the WLP
 (conclusively); otherwise the all-ones form, then recognized special forms,
 then seeded random forms with all coordinates nonzero are tried, each
@@ -33,6 +51,12 @@ _RANDOM_COEFF_RANGE = 100
 _PROVEN_SPECIAL_R = (3, 4)
 
 
+# how a DegreeReport's rank was obtained
+COMPUTED = "computed"
+UP = "propagated up"  # from a surjective step below, Prop. 2.1(a)
+DOWN = "propagated down"  # from an injective step above, Prop. 2.1(b)
+
+
 @dataclass
 class DegreeReport:
     d: int
@@ -41,14 +65,16 @@ class DegreeReport:
     rank: int
     injective: bool
     surjective: bool
+    path: str = COMPUTED
 
     @property
     def maximal(self) -> bool:
         return self.injective or self.surjective
 
     @classmethod
-    def from_rank(cls, d: int, h_d: int, h_d1: int, rank: int) -> "DegreeReport":
-        return cls(d, h_d, h_d1, rank, rank == h_d, rank == h_d1)
+    def from_rank(cls, d: int, h_d: int, h_d1: int, rank: int,
+                  path: str = COMPUTED) -> "DegreeReport":
+        return cls(d, h_d, h_d1, rank, rank == h_d, rank == h_d1, path)
 
 
 @dataclass
@@ -67,6 +93,7 @@ def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
     """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}; its cokernel has
     dimension h_de - rank."""
     cache = slice_engine(I, field, cache)
+    cache.require_same_ring(F)
     cache.require_artinian()
     de = d + F.degree
     h_d, h_de = cache.dim(d), cache.dim(de)
@@ -132,36 +159,42 @@ def _random_forms(r: int, field: FieldSpec, trials: int, seed: int) -> list:
 
 
 def _verdict_for_form(cache, L, profile, level, full_scan) -> WLPVerdict:
-    field = cache.field
+    """Every degree's rank of x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, by
+    the rule of the module docstring: scan up from the first step with
+    h_d >= h_{d+1} to the first surjective step d_s (Prop. 2.1(a)); if the
+    algebra is level, scan down from d_s to the first injective step d_i
+    (Prop. 2.1(b), which needs the socle in degree D alone); read the
+    degrees above d_s and below d_i off h, and compute each one between
+    once.
+
+    full_scan is the oracle the propagation is tested against: it scans
+    up from degree 0 and reads nothing down."""
     h = profile
     D = h.socle_degree
-    if not full_scan and level:
-        plateau = next((d for d in range(D) if h[d] == h[d + 1] and h[d] > 0), None)
-        if plateau is not None and all(h[d] < h[d + 1] for d in range(plateau)) \
-                and all(h[d] >= h[d + 1] for d in range(plateau, D + 1)):
-            # level with an internal plateau: one isomorphism check decides
-            rank = _map_rank(cache, L, plateau, plateau + 1)
-            if rank == h[plateau]:
-                reports = []
-                for d in range(D + 1):
-                    rk = h[d] if d <= plateau else h[d + 1]
-                    reports.append(DegreeReport.from_rank(d, h[d], h[d + 1], rk))
-                return WLPVerdict(reports, True, [], L, field, True)
-            # not an isomorphism: fall through for honest per-degree reports
+    ranks = {}
 
+    def rank(d):
+        if d not in ranks:  # h_d > 0 for d <= D; no map to a zero space
+            ranks[d] = _map_rank(cache, L, d, d + 1) if h[d + 1] else 0
+        return ranks[d]
+
+    first = 0 if full_scan else next(d for d in range(D + 1)
+                                     if h[d] >= h[d + 1])
+    d_s = next(d for d in range(first, D + 1) if rank(d) == h[d + 1])
+    d_i = -1
+    if level and not full_scan:
+        d_i = next((d for d in range(d_s, -1, -1) if rank(d) == h[d]), -1)
     reports = []
-    surjective_from = None
     for d in range(D + 1):
-        if surjective_from is not None:
-            reports.append(DegreeReport.from_rank(d, h[d], h[d + 1], h[d + 1]))
-            continue
-        rank = _map_rank(cache, L, d, d + 1) if h[d] and h[d + 1] else 0
-        rep = DegreeReport.from_rank(d, h[d], h[d + 1], rank)
+        if d > d_s:
+            rep = DegreeReport.from_rank(d, h[d], h[d + 1], h[d + 1], UP)
+        elif d < d_i:
+            rep = DegreeReport.from_rank(d, h[d], h[d + 1], h[d], DOWN)
+        else:
+            rep = DegreeReport.from_rank(d, h[d], h[d + 1], rank(d))
         reports.append(rep)
-        if rep.surjective:
-            surjective_from = d
     failures = [rep.d for rep in reports if not rep.maximal]
-    return WLPVerdict(reports, not failures, failures, L, field, True)
+    return WLPVerdict(reports, not failures, failures, L, cache.field, True)
 
 
 def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
@@ -183,6 +216,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
             raise ValueError("explicit strategy needs a form")
         if form.degree != 1:
             raise ValueError("Lefschetz candidate must be linear")
+        cache.require_same_ring(form)
         forms = [form]
     elif strategy == "allones" or I.is_monomial:
         forms = [_all_ones(I.num_vars, field)]
@@ -225,10 +259,11 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     The returned element is re-verified: nonzero modulo the degree-d slice,
     with its image inside the degree-(d+1) slice span."""
     cache = SliceCache(I, field)
+    L = form if form is not None else _all_ones(I.num_vars, field)
+    cache.require_same_ring(L)
     cache.require_artinian()
     if not cache.dim(d):
         return None  # (R/I)_d = 0
-    L = form if form is not None else _all_ones(I.num_vars, field)
     std_d = cache.std(d)
     # row i is L*std_d[i], so the relations' entries follow std_d
     rows = cache.multiple_rows(L, std_d, d + 1)

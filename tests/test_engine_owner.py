@@ -70,11 +70,17 @@ def test_profile_and_ci_hvector_are_one_type():
 
 @pytest.mark.parametrize("num_vars", [2, 4])
 def test_form_in_another_number_of_variables_rejected(num_vars):
+    """Also where no row is built: h = (1, 3, 3, 1), so the map from degree
+    3 has a zero target and degree 4 is zero; (x, y, z) has no map at all."""
     I = parse_ideal("x^2,y^2,z^2", XYZ, QQ)
     form = linear_form(num_vars, [1] * num_vars, QQ)
-    for call in (lambda: wlp_check(I, QQ, strategy="explicit", form=form),
-                 lambda: kernel_witness(I, QQ, 1, form=form),
-                 lambda: mult_map_rank(I, form, 1, QQ)):
+    calls = [lambda: wlp_check(I, QQ, strategy="explicit", form=form),
+             lambda: wlp_check(parse_ideal("x,y,z", XYZ, QQ), QQ,
+                               strategy="explicit", form=form)]
+    for d in (1, 3, 4):
+        calls += [lambda d=d: kernel_witness(I, QQ, d, form=form),
+                  lambda d=d: mult_map_rank(I, form, d, QQ)]
+    for call in calls:
         with pytest.raises(ValueError, match=f"in {num_vars} variables"):
             call()
 

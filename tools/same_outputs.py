@@ -14,6 +14,11 @@ DIR is a checkout of the revision to compare against (for instance a
   h-vector calculus), ``hilbert --family jr --r 4 --char 0 --char 5 --json``
   and ``wlp --family jr --r 4 --char 0 --char 2 --char 5 --json`` (a
   non-monomial ideal's Hilbert profile and verdicts): exit code and stdout;
+- ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
+  --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
+  and 5 (level ideals whose failures span several degrees), and the
+  non-level ``--gens x^5,y^5,z^2,x*y^4,y^2*z,x*z --vars x,y,z`` in 0 and
+  2: exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -51,7 +56,17 @@ COMMANDS = ([("verify-paper", ["verify-paper"])]
                  "--char", "5", "--json"]),
                ("wlp Jr(4) chars 0, 2, 5 --json",
                 ["wlp", "--family", "jr", "--r", "4", "--char", "0",
-                 "--char", "2", "--char", "5", "--json"])])
+                 "--char", "2", "--char", "5", "--json"]),
+               ("wlp LevelAci(1,2,3,4) chars 0, 2, 3 --json",
+                ["wlp", "--family", "levelaci", "--alpha", "1", "--beta", "2",
+                 "--gamma", "3", "--t", "4", "--char", "0", "--char", "2",
+                 "--char", "3", "--json"]),
+               ("wlp Irr(5) chars 0, 2, 5 --json",
+                ["wlp", "--family", "irr", "--r", "5", "--char", "0",
+                 "--char", "2", "--char", "5", "--json"]),
+               ("wlp non-level (x^5,y^5,z^2,x*y^4,y^2*z,x*z) chars 0, 2 --json",
+                ["wlp", "--gens", "x^5,y^5,z^2,x*y^4,y^2*z,x*z", "--vars",
+                 "x,y,z", "--char", "0", "--char", "2", "--json"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
