@@ -92,7 +92,7 @@ def test_irr_matches_full_scan(r, ch):
 
 @st.composite
 def artinian_monomial_ideals(draw):
-    """(ideal, is level) in 3 or 4 variables. A level ideal is the
+    """(ideal, built level) in 3 or 4 variables. A level ideal is the
     annihilator of monomials of one degree D: generated by the monomials
     that divide none of them but whose every divisor by one variable does.
     Any other has a pure power of each variable and up to four more
@@ -119,7 +119,7 @@ def artinian_monomial_ideals(draw):
         extra = draw(st.lists(st.tuples(*[st.integers(0, 3)] * r),
                               max_size=4))
         gens |= {m for m in extra if sum(m)}
-        level = None
+        level = False
     I = HomogeneousIdeal(r, [HomogeneousPolynomial(r, sum(g), {g: 1})
                              for g in sorted(gens)])
     return I, level
