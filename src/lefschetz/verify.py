@@ -278,8 +278,7 @@ def criterion_12():
     """Internal cross-checks: Prop. 2.1 propagation (ranks read up from the
     first surjective step and, in a level algebra, down from the first
     injective one) vs the full scan, cokernel duality against restriction,
-    h-vector symmetry, JSON round-trip, and deterministic re-runs. The
-    "shortcut" of the printed message is that propagation."""
+    h-vector symmetry, JSON round-trip, and deterministic re-runs."""
     import tempfile
     from pathlib import Path
 
@@ -293,7 +292,7 @@ def criterion_12():
             slow = wlp_check(I, f, full_scan=True)
             if fast.has_wlp != slow.has_wlp or \
                     fast.failure_degrees != slow.failure_degrees:
-                return False, f"shortcut/full-scan mismatch at {spec} char {ch}"
+                return False, f"propagation/full-scan mismatch at {spec} char {ch}"
             if [ (r.d, r.rank) for r in fast.reports ] != \
                     [ (r.d, r.rank) for r in slow.reports ]:
                 return False, f"rank report mismatch at {spec} char {ch}"
@@ -324,7 +323,7 @@ def criterion_12():
             rec = json.loads(line)
             if json.loads(json.dumps(rec)) != rec:
                 return False, "JSON round-trip failure"
-    return True, ("shortcut = full scan; cokernel duality holds; symmetric "
+    return True, ("propagation = full scan; cokernel duality holds; symmetric "
                   "h-vectors; JSON round-trips; re-runs byte-identical")
 
 

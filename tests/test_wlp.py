@@ -105,7 +105,7 @@ def test_random_strategy_is_seeded():
     assert a.form_used == b.form_used
 
 
-def test_full_scan_agrees_with_shortcut():
+def test_full_scan_agrees_with_propagation():
     for ch in (0, 3):
         f = QQ if ch == 0 else GF(ch)
         I = ideal("x^5,y^5,z^5,x^2*y^2*z", f)
