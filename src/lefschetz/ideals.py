@@ -13,6 +13,9 @@ index, and the socle of a monomial ideal live in a ``MonomialPart``, kept by
 holds one of them and adds only the field-dependent echelons of the
 non-monomial slice rows, so an ideal decided in several characteristics, or
 two ideals with an equal monomial part, enumerate their monomials once.
+A monomial ideal's all-ones map ranks over Z, with the product of their
+pivots' leads, are kept there too, and answer the rank in every
+characteristic that does not divide that product.
 The engine also owns the Hilbert profile (a ``HilbertProfile``, the one
 type for Hilbert functions and h-vectors) and the Artinian test.
 """
@@ -142,12 +145,21 @@ MONOMIAL_PARTS = 2
 class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
     per degree the standard monomials (a tuple) and their column index, and
-    the socle once asked for. Shared between slice engines through
-    monomial_part, so none of it may be changed.
+    the socle once asked for, and the all-ones map ranks below. Shared
+    between slice engines through monomial_part, so nothing filled in may
+    be changed.
 
     Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
     a generator (0 for none); ``reason`` names a variable with none ("" when
-    there is none), why the quotient is not Artinian."""
+    there is none), why the quotient is not Artinian.
+
+    ``all_ones`` maps a degree d to (rank over Q, lead product) of the
+    all-ones map A_d -> A_{d+1} of the monomial ideal itself, as eliminated
+    over Z with an empty slice echelon: the rank over F_p for every p that
+    does not divide the lead product (the lemma of ``matrices``). Only a
+    char-0 ``wlp_check`` of the monomial ideal fills it, and only char-p
+    decisions of that ideal with the all-ones form read it; an ideal with
+    other generators shares the part but not these maps."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -164,6 +176,7 @@ class MonomialPart:
         self._std: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
+        self.all_ones: dict[int, tuple[int, int]] = {}
 
     def std(self, d: int) -> tuple:
         s = self._std.get(d)

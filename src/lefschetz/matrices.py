@@ -16,6 +16,33 @@ Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
 insertion order sets the fill (``wlp._map_rank`` states its order). The
 kernel mutates neither a row it is given nor a stored pivot.
+
+Over Z an echelon also keeps ``lead_product``, C: the product of the lead
+entries of the remainders it stored, taken before they were made
+primitive. It answers the rank in other characteristics.
+
+Lemma. Let p be a prime with p not dividing C. Then the rows added have
+the same rank over F_p as over Q; indeed, eliminating them in the same
+order over F_p takes the same steps up to unit scalings.
+
+Proof. A stored pivot is a stored remainder divided by its content g,
+and both g and the pivot's lead a divide that remainder's lead, a factor
+of C; so p divides neither (p dividing a content g would imply p divides
+the lead). Follow one row through both reductions, keeping the invariant
+that the row over Z is, mod p, a unit times the row over F_p:
+- a step over Z scales the row by a/gcd(a, c), a unit mod p, and
+  subtracts c/gcd(a, c) times the pivot, c the row's lead entry. If p
+  divides c, the subtraction vanishes mod p and the F_p row, zero in that
+  column, takes no step; otherwise both subtract the same multiple of the
+  pivot, up to the unit;
+- so a row that reduces to zero over Z reduces to zero mod p;
+- a remainder stored over Z keeps its lead column mod p, its lead being a
+  factor of C, so the F_p reduction stops in the same column and stores
+  the same pivot up to a unit.
+By induction on the rows, the same rows raise the rank in both. So every
+prime that lowers the rank divides C. The converse fails: C also carries
+the row scalings (for a square matrix of full rank it is +-det times
+their product).
 """
 
 from __future__ import annotations
@@ -122,6 +149,9 @@ class IntRowEchelon:
 
     Pivots are primitive integer rows (monic residues over F_p); the
     reduction is fraction-free, so the result is exact over the rationals.
+    Over Z, ``lead_product`` is the product of the stored remainders' leads
+    before they were made primitive: by the module's lemma the rows added
+    have the same rank over F_p for every prime p that does not divide it.
     """
 
     def __init__(self, ncols: int, p: int = 0):
@@ -130,6 +160,7 @@ class IntRowEchelon:
         self.ncols = ncols
         self.p = p
         self.pivots: dict[int, list] = {}  # lead column -> (column, entry) pairs
+        self.lead_product = 1  # over Z only
 
     @property
     def rank(self) -> int:
@@ -156,7 +187,10 @@ class IntRowEchelon:
         rem = _reduce(_sparse(row, self.p), self.pivots, self.p)
         if rem:
             piv = _pivot(rem, self.p)
-            self.pivots[piv[0][0]] = piv
+            j = piv[0][0]
+            self.pivots[j] = piv
+            if not self.p:
+                self.lead_product *= rem[j]
         return bool(rem)
 
     def extend(self, rows) -> int:

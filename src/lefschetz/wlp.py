@@ -20,7 +20,22 @@ degree between is computed once. In a level algebra every degree strictly
 between d_i and d_s fails (neither onto, being below d_s, nor injective,
 being above d_i), so a WLP that holds at a plateau h_p = h_{p+1} takes one
 map, and a failure its failing degrees and at most the two steps around
-them. DegreeReport.path says which of the three gave a degree its rank.
+them. DegreeReport.path says which of the three gave a degree its rank,
+or that a computed rank was read from an integer one (below).
+
+Ranks read across characteristics (for a monomial ideal and the all-ones
+form, whose map is the same 0/1 matrix in every field). A char-0 decision
+eliminates each map it computes over Z, and keeps its rank and the lead
+product C of its pivots in the ideal's MonomialPart. A char-p decision of
+that ideal reads the rank of a map with an entry when p does not divide C,
+and computes it mod p otherwise. The lemma of ``matrices`` proves the read
+rank is the rank over F_p: with p not dividing C, eliminating the same
+rows in the same order over F_p takes the same steps up to unit scalings,
+because each row scaling a/gcd(a, c) is a unit mod p, a row that reduces
+to zero over Z reduces to zero mod p, a stored remainder keeps its lead
+column mod p, and p dividing a content g implies p divides the lead. No
+prime that lowers the rank is hidden: each divides C. The full scan,
+mult_map_rank and kernel_witness neither read nor fill these ranks.
 
 Verdict strategy: for monomial ideals the all-ones form decides the WLP
 (conclusively); otherwise the all-ones form, then recognized special forms,
@@ -53,6 +68,7 @@ _PROVEN_SPECIAL_R = (3, 4)
 
 # how a DegreeReport's rank was obtained
 COMPUTED = "computed"
+INTEGER = "read from the integer rank"  # of a char-0 decision, p not dividing C
 UP = "propagated up"  # from a surjective step below, Prop. 2.1(a)
 DOWN = "propagated down"  # from an injective step above, Prop. 2.1(b)
 
@@ -97,13 +113,16 @@ def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
     cache.require_artinian()
     de = d + F.degree
     h_d, h_de = cache.dim(d), cache.dim(de)
-    rank = _map_rank(cache, F, d, de) if h_d and h_de else 0
+    rank = _map_rank(cache, F, d, de)[0] if h_d and h_de else 0
     return {"h_d": h_d, "h_de": h_de, "rank": rank}
 
 
-def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int) -> int:
-    """Rank of x F : (R/I)_d -> (R/I)_de: what the rows F*m, m in std(d),
-    add to the rank of the degree-de slice.
+def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
+              de: int) -> tuple[int, int]:
+    """Rank of x F : (R/I)_d -> (R/I)_de, what the rows F*m, m in std(d),
+    add to the rank of the degree-de slice, and the lead product of the
+    elimination (1 over F_p; over Z it includes the slice's leads, none for
+    a monomial ideal).
 
     A copy of the cached echelon of the degree-de slice (left unchanged)
     takes the sparse rows F*m, inserted for m in ascending canonical order,
@@ -112,7 +131,9 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int) -> i
     F*m' before it is below LM(F)*m, because m' < m. So most rows meet no
     earlier row in their lead column and become pivots without an update."""
     rows = cache.multiple_rows(F, cache.std(d)[::-1], de)
-    return cache.echelon(de).copy().extend(rows) - cache.echelon(de).rank
+    slice_ech = cache.echelon(de)
+    ech = slice_ech.copy()
+    return ech.extend(rows) - slice_ech.rank, ech.lead_product
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
@@ -158,7 +179,8 @@ def _random_forms(r: int, field: FieldSpec, trials: int, seed: int) -> list:
     return forms
 
 
-def _verdict_for_form(cache, L, profile, level, full_scan) -> WLPVerdict:
+def _verdict_for_form(cache, L, profile, level, full_scan,
+                      integer=None) -> WLPVerdict:
     """Every degree's rank of x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, by
     the rule of the module docstring: scan up from the first step with
     h_d >= h_{d+1} to the first surjective step d_s (Prop. 2.1(a)); if the
@@ -167,15 +189,31 @@ def _verdict_for_form(cache, L, profile, level, full_scan) -> WLPVerdict:
     degrees above d_s and below d_i off h, and compute each one between
     once.
 
+    integer is the MonomialPart's all_ones memo when L is the all-ones
+    form of a monomial ideal, else None: char 0 fills it with each map it
+    computes, char p reads a map's rank from it when p does not divide the
+    entry's lead product (the module docstring).
+
     full_scan is the oracle the propagation is tested against: it scans
     up from degree 0 and reads nothing down."""
     h = profile
     D = h.socle_degree
+    p = cache.field.characteristic
     ranks = {}
+    read = set()  # degrees whose rank came from integer
 
     def rank(d):
         if d not in ranks:  # h_d > 0 for d <= D; no map to a zero space
-            ranks[d] = _map_rank(cache, L, d, d + 1) if h[d + 1] else 0
+            entry = integer.get(d) if p and integer else None
+            if not h[d + 1]:
+                ranks[d] = 0
+            elif entry and entry[1] % p:
+                ranks[d] = entry[0]
+                read.add(d)
+            else:
+                ranks[d], lead = _map_rank(cache, L, d, d + 1)
+                if integer is not None and not p:
+                    integer[d] = ranks[d], lead
         return ranks[d]
 
     first = 0 if full_scan else next(d for d in range(D + 1)
@@ -191,7 +229,8 @@ def _verdict_for_form(cache, L, profile, level, full_scan) -> WLPVerdict:
         elif d < d_i:
             rep = DegreeReport.from_rank(d, h[d], h[d + 1], h[d], DOWN)
         else:
-            rep = DegreeReport.from_rank(d, h[d], h[d + 1], rank(d))
+            rep = DegreeReport.from_rank(d, h[d], h[d + 1], rank(d),
+                                         INTEGER if d in read else COMPUTED)
         reports.append(rep)
     failures = [rep.d for rep in reports if not rep.maximal]
     return WLPVerdict(reports, not failures, failures, L, cache.field, True)
@@ -209,6 +248,11 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     cache = SliceCache(I, field)
     profile = hilbert_profile(I, field, cache)
     level = socle_report(I, cache).is_level if I.is_monomial else False
+    ones = _all_ones(I.num_vars, field)
+    # all-ones ranks over Z shared across characteristics: only a monomial
+    # ideal's own maps, and never for the full-scan oracle
+    integer = (cache.shared.all_ones if I.is_monomial and not full_scan
+               else None)
 
     special = []
     if strategy == "explicit":
@@ -219,12 +263,12 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
         cache.require_same_ring(form)
         forms = [form]
     elif strategy == "allones" or I.is_monomial:
-        forms = [_all_ones(I.num_vars, field)]
+        forms = [ones]
     elif strategy == "random":
         forms = _random_forms(I.num_vars, field, trials, seed)
     elif strategy == "auto":
         special = _recognized_special_forms(I, field)
-        forms = ([_all_ones(I.num_vars, field)] + special
+        forms = ([ones] + special
                  + _random_forms(I.num_vars, field, trials, seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -236,13 +280,13 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
         if key in tried:
             continue  # the same form again: over a small field draws repeat
         tried.add(key)
-        verdict = _verdict_for_form(cache, L, profile, level, full_scan)
+        verdict = _verdict_for_form(cache, L, profile, level, full_scan,
+                                    integer if L.terms == ones.terms else None)
         verdict.forms_tried = len(tried)
         if verdict.has_wlp:
             return verdict
     # every tried form failed
-    if I.is_monomial and any(L.terms == _all_ones(I.num_vars, field).terms
-                             for L in forms):
+    if I.is_monomial and any(L.terms == ones.terms for L in forms):
         verdict.conclusive = True  # all-ones decides monomial ideals
     elif special and I.num_vars in _PROVEN_SPECIAL_R:
         verdict.conclusive = True  # the family's proof-backed forms all failed

@@ -1,5 +1,7 @@
 """Property tests for the sparse elimination kernel behind mod_rank,
-IntRowEchelon and rank_int_rows, against sympy's DomainMatrix ranks."""
+IntRowEchelon and rank_int_rows, against sympy's DomainMatrix ranks, and
+for the lemma that the rank over Z answers every characteristic not
+dividing the lead product."""
 
 import pytest
 from hypothesis import given, settings
@@ -191,3 +193,40 @@ def test_dict_rows_with_zero_or_unreduced_entries():
     ech = IntRowEchelon(2, 7)
     assert not ech.add({0: 7, 1: 14})
     assert ech.add({1: 15}) and ech.reduce({0: 0, 1: 3}) == [0, 0]
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@given(int_matrices(), st.sampled_from(SMALL_PRIMES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_over_q_is_the_rank_mod_every_prime_not_dividing_leads(
+        case, p, data):
+    """Rows with a common factor p are mixed in. For every small prime q
+    that does not divide lead_product, rank over F_q equals rank over Q."""
+    rows, ncols = case
+    rows = [[p * x for x in row] if data.draw(st.booleans()) else row
+            for row in rows]
+    ech = IntRowEchelon(ncols)
+    rank = ech.extend(rows)
+    assert ech.copy().lead_product == ech.lead_product != 0
+    for q in SMALL_PRIMES:
+        rank_q = oracle_rank(rows, ncols, sympy_domains.GF(q))
+        if ech.lead_product % q:
+            assert rank_q == rank
+
+
+@pytest.mark.parametrize("rows, ncols, lead_product", [
+    ([[2, 2]], 2, 2),  # its primitive lead is 1; its rank over F_2 is 0
+    ([[2, 1], [0, 3], [4, 2]], 2, 6),  # the last row adds no lead
+    ([[0, 5], [3, 1], [6, 7]], 2, 15),  # the last row reduces to zero
+    # det -3; the second row is scaled by 2, so 2 divides lead_product
+    # though the rank over F_2 is 2
+    ([[2, 1], [3, 0]], 2, -6),
+])
+def test_lead_product_values(rows, ncols, lead_product):
+    ech = IntRowEchelon(ncols)
+    for row in rows:
+        ech.add(row)
+    assert ech.lead_product == lead_product
+    assert IntRowEchelon(ncols, 2).lead_product == 1  # kept over Z only

@@ -2,7 +2,12 @@
 Artinian algebra, injectivity read downward in a level one. The propagated
 verdict must equal the full scan (every degree up to the first surjective
 step computed) in rank, injectivity and surjectivity per degree, failure
-degrees and verdict, and must compute each map at most once."""
+degrees and verdict, and must compute each map at most once.
+
+A char-0 decision of a monomial ideal keeps its all-ones map ranks in the
+process-wide monomial_part memo, and a later char-p decision may read them
+instead of computing (path INTEGER). So every test that counts the maps a
+decision computes clears the memo first."""
 
 from itertools import product
 
@@ -13,11 +18,11 @@ from hypothesis import strategies as st
 from lefschetz import wlp
 from lefschetz.families import Irr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
-from lefschetz.ideals import (HomogeneousIdeal, hilbert_profile, parse_ideal,
-                              socle_report)
+from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
+                              monomial_part, parse_ideal, socle_report)
 from lefschetz.rings import HomogeneousPolynomial
 from lefschetz.sweeps import level_aci_grid
-from lefschetz.wlp import COMPUTED, DOWN, UP, wlp_check
+from lefschetz.wlp import COMPUTED, DOWN, INTEGER, UP, wlp_check
 
 LEVEL_CHARS = (0, 2, 3, 5, 7, 11, 13)
 # not level: its socle is y*z, y^4 and x^4*y^3, in degrees 2, 4 and 7
@@ -29,7 +34,8 @@ def field_of(ch):
 
 
 def count_maps(monkeypatch) -> list:
-    """Record (form, d) for every map rank wlp_check computes."""
+    """Record (form, d) for every map rank wlp_check computes. A caller
+    clears the monomial_part memo before each counted decision."""
     calls = []
     rank = wlp._map_rank
 
@@ -52,11 +58,16 @@ def assert_matches_full_scan(I, field, fast=None):
     return fast
 
 
+# the order of the paths along the degrees: a rank read from the integer
+# one stands where a computed rank would
+PATH_ORDER = {DOWN: 0, COMPUTED: 1, INTEGER: 1, UP: 2}
+
+
 def assert_paths_honest(verdict):
-    """Degrees read down, then computed, then read up, with the rank each
-    rule gives."""
+    """Degrees read down, then computed (or read from an integer rank),
+    then read up, with the rank each rule gives."""
     paths = [r.path for r in verdict.reports]
-    assert paths == sorted(paths, key=[DOWN, COMPUTED, UP].index)
+    assert paths == sorted(paths, key=PATH_ORDER.__getitem__)
     for r in verdict.reports:
         if r.path == UP:
             assert r.rank == r.h_d1
@@ -74,6 +85,7 @@ def test_level_chars_grid_matches_full_scan(ch, monkeypatch):
     for point in level_aci_grid(9, 3):
         I = make_ideal(LevelAci(*point), field)
         calls.clear()
+        monomial_part.cache_clear()
         verdict = wlp_check(I, field)
         assert len(set(calls)) == len(calls) == sum(
             r.path == COMPUTED and r.h_d1 > 0 for r in verdict.reports)
@@ -157,5 +169,37 @@ def test_non_level_ideal_is_not_read_down(ch):
 def test_map_counts(spec, ch, maps, monkeypatch):
     calls = count_maps(monkeypatch)
     field = field_of(ch)
+    monomial_part.cache_clear()
     wlp_check(make_ideal(spec, field), field)
     assert len(calls) == maps
+
+
+def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
+    """After a grid point's char-0 decision, a char-p decision where the
+    WLP holds computes no map when p does not divide the lead product C of
+    the plateau map (h_d = h_{d+1}), and reports the plateau under INTEGER.
+    When p divides C it computes that one map, as without the char-0
+    decision: C carries the row scalings of the elimination as well as
+    det, so p can divide C and not det. Every verdict equals the full
+    scan."""
+    calls = count_maps(monkeypatch)
+    paths = {True: [], False: []}  # by whether p divides C
+    for point in level_aci_grid(9, 3):
+        monomial_part.cache_clear()
+        I = make_ideal(LevelAci(*point), QQ)
+        wlp_check(I, QQ)
+        integer = SliceCache(I, QQ).shared.all_ones
+        for ch in LEVEL_CHARS[1:]:
+            field = GF(ch)
+            I = make_ideal(LevelAci(*point), field)
+            calls.clear()
+            verdict = wlp_check(I, field)
+            if verdict.has_wlp:
+                [plateau] = [r for r in verdict.reports if r.h_d == r.h_d1]
+                divides = integer[plateau.d][1] % ch == 0
+                assert len(calls) == divides
+                paths[divides].append(plateau.path)
+            assert_paths_honest(assert_matches_full_scan(I, field, verdict))
+    assert set(paths[False]) == {INTEGER} and set(paths[True]) == {COMPUTED}
+    # 104 char-p decisions hold; 19 of them compute their plateau map
+    assert (len(paths[False]), len(paths[True])) == (85, 19)

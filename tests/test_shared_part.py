@@ -1,22 +1,26 @@
 """The field-independent part of the slice engine (standard monomials, their
 column index and the socle) is shared between characteristics and between
-equal monomial parts through the ideals.monomial_part memo. Every answer
-given through the shared memo must be the one a cleared memo gives."""
+equal monomial parts through the ideals.monomial_part memo, and so are a
+monomial ideal's all-ones map ranks over Z, which char-p decisions read.
+Every answer given through the shared memo must be the one a cleared memo
+gives; only a rank's path may say it was read from the integer rank where
+the cleared memo computed it."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import ideals
-from lefschetz.families import Jr, LevelAci, make_ideal
+from lefschetz.families import Irr, Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal, SliceCache,
                               monomial_part, socle_report, standard_monomials)
-from lefschetz.rings import HomogeneousPolynomial
+from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import level_aci_grid
-from lefschetz.wlp import kernel_witness, wlp_check
+from lefschetz.wlp import COMPUTED, INTEGER, kernel_witness, wlp_check
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 LEVEL_SLICE = [LevelAci(*point) for point in list(level_aci_grid(7, 2))[:12]]
@@ -39,6 +43,14 @@ def monomial_ideals(draw):
     return r, gens
 
 
+def _as_computed(verdict):
+    """The verdict with each rank read from the integer rank marked
+    computed, as a cleared memo computes it."""
+    return replace(verdict, reports=[
+        replace(r, path=COMPUTED) if r.path == INTEGER else r
+        for r in verdict.reports])
+
+
 def _answers(I, field, clear):
     """What the library reports about R/I over field: the verdict with its
     per-degree reports, a kernel witness in every degree, the socle and the
@@ -50,7 +62,7 @@ def _answers(I, field, clear):
 
     verdict = call(wlp_check, I, field)
     top = len(verdict.reports)
-    return {"verdict": verdict,
+    return {"verdict": verdict if clear else _as_computed(verdict),
             "witnesses": [call(kernel_witness, I, field, d)
                           for d in range(top)],
             "socle": call(socle_report, I),
@@ -133,3 +145,49 @@ def test_second_characteristic_enumerates_nothing(monkeypatch, spec, first,
     shuffled = random.Random(1).sample(I.generators, len(I.generators))
     wlp_check(HomogeneousIdeal(I.num_vars, shuffled), first)
     assert len(calls) == seen
+
+
+# (x_1^4, ..., x_4^4): a monomial ideal and the monomial part of J_4
+CI4 = _ideal_of(4, [tuple(4 * (i == j) for j in range(4)) for i in range(4)])
+# char-0 failures over several degrees, and a det M = 2^3 3^4 11^2 point
+INTEGER_CASES = [lambda f: CI4, lambda f: make_ideal(Jr(4), f),
+                 lambda f: make_ideal(Irr(5), f),
+                 lambda f: make_ideal(LevelAci(1, 4, 4, 4), f),
+                 lambda f: make_ideal(LevelAci(3, 3, 3, 7), f)]
+CHARS = (QQ, GF(2), GF(3), GF(5), GF(7), GF(11))
+
+
+def _decisions(ascending):
+    """(ideal of a field, field, form) in the order decided: per case, a
+    char-0 decision with a form that is not all-ones (it has a zero
+    coordinate), then every characteristic, 0 first or last."""
+    chars = CHARS if ascending else CHARS[::-1]
+    for case in INTEGER_CASES:
+        r = case(QQ).num_vars
+        yield case, QQ, linear_form(r, [1] * (r - 1) + [0], QQ)
+        for field in chars:
+            yield case, field, None
+
+
+def _decide(case, field, form):
+    """The verdict of the given form, else of the all-ones form: for J_4
+    too, so that its all-ones ranks show even where they fail."""
+    I = case(field)
+    if form is None:
+        return wlp_check(I, field, strategy="allones")
+    return wlp_check(I, field, strategy="explicit", form=form)
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_integer_ranks_give_the_answers_of_a_cleared_memo(ascending):
+    """Char-p decisions that read the char-0 all-ones ranks answer as with
+    a cleared memo, with the characteristics decided 0 first or 0 last;
+    among them a char-0 decision by another form, and J_4, whose monomial
+    part is a monomial ideal decided before it."""
+    monomial_part.cache_clear()
+    shared = [_decide(*step) for step in _decisions(ascending)]
+    read = [r for v in shared for r in v.reports if r.path == INTEGER]
+    assert bool(read) == ascending
+    for step, got in zip(_decisions(ascending), shared):
+        monomial_part.cache_clear()
+        assert _as_computed(got) == _decide(*step), step[1:]

@@ -16,9 +16,12 @@ DIR is a checkout of the revision to compare against (for instance a
   non-monomial ideal's Hilbert profile and verdicts): exit code and stdout;
 - ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
   --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
-  and 5 (level ideals whose failures span several degrees), and the
+  and 5 (level ideals whose failures span several degrees), the
   non-level ``--gens x^5,y^5,z^2,x*y^4,y^2*z,x*z --vars x,y,z`` in 0 and
-  2: exit code and stdout;
+  2, and ``--family levelaci --alpha 3 --beta 3 --gamma 3 --t 7`` in 2,
+  11, 0, 3 and 5 (det M = 2^3 3^4 11^2: in one process, characteristics
+  decided before and after char 0 has computed the integer ranks, both
+  ones that divide det M and one that does not): exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -66,7 +69,12 @@ COMMANDS = ([("verify-paper", ["verify-paper"])]
                  "--char", "2", "--char", "5", "--json"]),
                ("wlp non-level (x^5,y^5,z^2,x*y^4,y^2*z,x*z) chars 0, 2 --json",
                 ["wlp", "--gens", "x^5,y^5,z^2,x*y^4,y^2*z,x*z", "--vars",
-                 "x,y,z", "--char", "0", "--char", "2", "--json"])])
+                 "x,y,z", "--char", "0", "--char", "2", "--json"]),
+               ("wlp LevelAci(3,3,3,7) chars 2, 11, 0, 3, 5 --json",
+                ["wlp", "--json", "--family", "levelaci", "--alpha", "3",
+                 "--beta", "3", "--gamma", "3", "--t", "7", "--char", "2",
+                 "--char", "11", "--char", "0", "--char", "3", "--char",
+                 "5"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
