@@ -17,9 +17,11 @@ holds no entry of the rows before it becomes a pivot unreduced, so the
 insertion order sets the fill (``wlp._map_rank`` states its order). The
 kernel mutates neither a row it is given nor a stored pivot.
 
-Over Z an echelon also keeps ``lead_product``, C: the product of the lead
-entries of the remainders it stored, taken before they were made
-primitive. It answers the rank in other characteristics.
+Over Z an echelon also keeps the lead entries of the remainders it stored,
+taken before they were made primitive; ``lead_product``, C, is their
+product. It answers the rank in other characteristics. The product is
+taken when read: rows with large entries have large leads, and a running
+product of them would cost a big multiply per pivot.
 
 Lemma. Let p be a prime with p not dividing C. Then the rows added have
 the same rank over F_p as over Q; indeed, eliminating them in the same
@@ -50,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from copy import copy
 from itertools import combinations
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 from .fields import is_prime
 
@@ -160,7 +162,11 @@ class IntRowEchelon:
         self.ncols = ncols
         self.p = p
         self.pivots: dict[int, list] = {}  # lead column -> (column, entry) pairs
-        self.lead_product = 1  # over Z only
+        self.leads: list[int] = []  # over Z only, see lead_product
+
+    @property
+    def lead_product(self) -> int:
+        return prod(self.leads)
 
     @property
     def rank(self) -> int:
@@ -171,6 +177,7 @@ class IntRowEchelon:
         the stored pivot lists, which are never mutated."""
         ech = copy(self)
         ech.pivots = dict(self.pivots)
+        ech.leads = list(self.leads)
         return ech
 
     def reduce(self, row):
@@ -190,7 +197,7 @@ class IntRowEchelon:
             j = piv[0][0]
             self.pivots[j] = piv
             if not self.p:
-                self.lead_product *= rem[j]
+                self.leads.append(rem[j])
         return bool(rem)
 
     def extend(self, rows) -> int:
