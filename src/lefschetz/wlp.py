@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from .fields import FieldSpec
 from .ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
                      slice_engine, socle_report)
-from .matrices import clear_denominators
+from .matrices import IntRowEchelon, clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
 DEFAULT_SEED = 0xC0C0A
@@ -118,11 +118,11 @@ def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
 
 
 def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
-              de: int) -> tuple[int, int]:
+              de: int) -> tuple[int, IntRowEchelon]:
     """Rank of x F : (R/I)_d -> (R/I)_de, what the rows F*m, m in std(d),
-    add to the rank of the degree-de slice, and the lead product of the
-    elimination (1 over F_p; over Z it includes the slice's leads, none for
-    a monomial ideal).
+    add to the rank of the degree-de slice, and the echelon that reached
+    it. Over Z its lead_product includes the slice's leads, none for a
+    monomial ideal.
 
     A copy of the cached echelon of the degree-de slice (left unchanged)
     takes the sparse rows F*m, inserted for m in ascending canonical order,
@@ -133,7 +133,7 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     rows = cache.multiple_rows(F, cache.std(d)[::-1], de)
     slice_ech = cache.echelon(de)
     ech = slice_ech.copy()
-    return ech.extend(rows) - slice_ech.rank, ech.lead_product
+    return ech.extend(rows) - slice_ech.rank, ech
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
@@ -211,9 +211,9 @@ def _verdict_for_form(cache, L, profile, level, full_scan,
                 ranks[d] = entry[0]
                 read.add(d)
             else:
-                ranks[d], lead = _map_rank(cache, L, d, d + 1)
+                ranks[d], ech = _map_rank(cache, L, d, d + 1)
                 if integer is not None and not p:
-                    integer[d] = ranks[d], lead
+                    integer[d] = ranks[d], ech.lead_product
         return ranks[d]
 
     first = 0 if full_scan else next(d for d in range(D + 1)
