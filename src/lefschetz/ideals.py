@@ -7,15 +7,18 @@ monomials, so quotient dimensions reduce to counting standard monomials.
 
 What does not depend on the field is computed once per process and shared:
 the standard monomials of the monomial part in each degree, their column
-index, and the socle of a monomial ideal live in a ``MonomialPart``, kept by
-``monomial_part`` in an LRU memo of MONOMIAL_PARTS (two) entries keyed by
-(number of variables, sorted distinct monomial generators). A ``SliceCache``
-holds one of them and adds only the field-dependent echelons of the
-non-monomial slice rows, so an ideal decided in several characteristics, or
-two ideals with an equal monomial part, enumerate their monomials once.
-A monomial ideal's all-ones map ranks over Z, with the product of their
-pivots' leads, are kept there too, and answer the rank in every
-characteristic that does not divide that product.
+index, the part's Hilbert function, and the socle of a monomial ideal live
+in a ``MonomialPart``, kept by ``monomial_part`` in an LRU memo of
+MONOMIAL_PARTS (two) entries keyed by (number of variables, sorted distinct
+monomial generators). A ``SliceCache`` holds one of them and adds only the
+field-dependent echelons of the non-monomial slice rows, so an ideal
+decided in several characteristics, or two ideals with an equal monomial
+part, enumerate their monomials once, and a monomial ideal builds no
+echelon for its Hilbert profile. The part also keeps the rows F*m of the
+all-ones form F in each degree, whose entries are 1 in every field, for
+every ideal with that monomial part; and a monomial ideal's all-ones map
+ranks over Z, each with a nonzero maximal minor of its rows, which answer
+the rank in every characteristic that does not divide that minor.
 The engine also owns the Hilbert profile (a ``HilbertProfile``, the one
 type for Hilbert functions and h-vectors) and the Artinian test.
 """
@@ -136,6 +139,14 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
     return list(SliceCache(I, QQ).std(d))
 
 
+def _until_zero(h) -> tuple:
+    """h(0), h(1), ... up to the first zero, which is included."""
+    values = [h(0)]
+    while values[-1]:
+        values.append(h(len(values)))
+    return tuple(values)
+
+
 # entries the monomial_part memo keeps: an ideal decided in every
 # characteristic in turn needs one; verify.criterion_3, which alternates
 # between two ideals in each characteristic, needs two
@@ -144,22 +155,29 @@ MONOMIAL_PARTS = 2
 
 class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
-    per degree the standard monomials (a tuple) and their column index, and
-    the socle once asked for, and the all-ones map ranks below. Shared
-    between slice engines through monomial_part, so nothing filled in may
-    be changed.
+    per degree the standard monomials (a tuple) and their column index, the
+    Hilbert function and the socle once asked for, and the all-ones rows
+    and map ranks below. Shared between slice engines through
+    monomial_part, so nothing filled in may be changed.
 
     Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
     a generator (0 for none); ``reason`` names a variable with none ("" when
     there is none), why the quotient is not Artinian.
 
+    ``ones_rows`` maps a degree d to the rows F*m of the all-ones form F,
+    for m in std(d)[::-1], on the standard monomials of degree d + 1: the
+    same 0/1 rows in every field and for every ideal with this monomial
+    part. ``wlp._map_rank`` fills and reads it.
+
     ``all_ones`` maps a degree d to (rank over Q, lead product) of the
     all-ones map A_d -> A_{d+1} of the monomial ideal itself, as eliminated
-    over Z with an empty slice echelon: the rank over F_p for every p that
-    does not divide the lead product (the lemma of ``matrices``). Only a
-    char-0 ``wlp_check`` of the monomial ideal fills it, and only char-p
-    decisions of that ideal with the all-ones form read it; an ideal with
-    other generators shares the part but not these maps."""
+    over Z with an empty slice echelon. The lead product is +-det of the
+    rows that raised the rank on their lead columns, so it gives the rank
+    over F_p for every p that does not divide it (the lemma of
+    ``matrices``). Only a char-0 ``wlp_check`` of the monomial ideal fills
+    it, and only char-p decisions of that ideal with the all-ones form read
+    it; an ideal with other generators shares the part but not these
+    ranks."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -176,6 +194,8 @@ class MonomialPart:
         self._std: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
+        self._hilbert: tuple | None = None
+        self.ones_rows: dict[int, tuple] = {}
         self.all_ones: dict[int, tuple[int, int]] = {}
 
     def std(self, d: int) -> tuple:
@@ -193,6 +213,16 @@ class MonomialPart:
         only read it."""
         self.std(d)
         return self._index[d]
+
+    def hilbert(self) -> tuple:
+        """h(d) = len(std(d)) from d = 0 until it vanishes, computed once:
+        the Hilbert function of the monomial ideal itself. NotArtinianError,
+        with ``reason``, when a variable has no pure power."""
+        if self._hilbert is None:
+            if self.reason:
+                raise NotArtinianError(self.reason)
+            self._hilbert = _until_zero(lambda d: len(self.std(d)))
+        return self._hilbert
 
     def socle(self) -> tuple:
         """Standard monomials m with every m*x_i non-standard, by degree.
@@ -240,7 +270,8 @@ class SliceCache:
     field either: they come from the MonomialPart of I's monomial generators,
     shared through the monomial_part memo (keyed by the number of variables
     and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
-    with every engine of an equal monomial part, in any characteristic.
+    with every engine of an equal monomial part, in any characteristic. So
+    does the Hilbert profile of an ideal with no polynomial generators.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -323,8 +354,10 @@ class SliceCache:
         return list(zip(poly.terms, clear_denominators(poly.terms.values())))
 
     def dim(self, d: int) -> int:
-        """dim (R/I)_d."""
-        return len(self.std(d)) - self.echelon(d).rank
+        """dim (R/I)_d: for a monomial ideal the part's count of standard
+        monomials, with no echelon built."""
+        n = len(self.std(d))
+        return n - self.echelon(d).rank if self.poly_gens else n
 
     def echelon(self, d: int) -> IntRowEchelon:
         """Echelon of the degree-d slice rows: the slice rank, and the
@@ -357,13 +390,13 @@ class SliceCache:
 
     def profile(self) -> HilbertProfile:
         """h(d) = dim (R/I)_d from d = 0 until it vanishes, computed once;
-        NotArtinianError when R/I is not Artinian."""
+        NotArtinianError when R/I is not Artinian. A monomial ideal reads
+        its part's Hilbert function, the same in every field."""
         if self._profile is None:
             self.require_artinian()
-            values = [self.dim(0)]
-            while values[-1]:
-                values.append(self.dim(len(values)))
-            self._profile = HilbertProfile(tuple(values))
+            self._profile = HilbertProfile(
+                _until_zero(self.dim) if self.poly_gens
+                else self.shared.hilbert())
         return self._profile
 
 

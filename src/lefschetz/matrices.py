@@ -17,34 +17,27 @@ holds no entry of the rows before it becomes a pivot unreduced, so the
 insertion order sets the fill (``wlp._map_rank`` states its order). The
 kernel mutates neither a row it is given nor a stored pivot.
 
-Over Z an echelon also keeps the lead entries of the remainders it stored,
-taken before they were made primitive; ``lead_product``, C, is their
-product. It answers the rank in other characteristics. The product is
-taken when read: rows with large entries have large leads, and a running
-product of them would cost a big multiply per pivot.
+Over Z an echelon also keeps, for each remainder it stored, its lead entry
+before it was made primitive, and the scalings a/gcd(a, c) applied to its
+row on the way. ``lead_product`` is D = C/S, C the product of the leads and
+S that of the scalings. Both products are taken when read: rows with large
+entries have large leads, and a running product would cost a big multiply
+per pivot.
 
-Lemma. Let p be a prime with p not dividing C. Then the rows added have
-the same rank over F_p as over Q; indeed, eliminating them in the same
-order over F_p takes the same steps up to unit scalings.
+Lemma. For an echelon started empty, D is +-det(R_J): R the k rows that
+raised the rank, J their lead columns. So for a prime p not dividing D the
+rows added have the same rank over F_p as over Q.
 
-Proof. A stored pivot is a stored remainder divided by its content g,
-and both g and the pivot's lead a divide that remainder's lead, a factor
-of C; so p divides neither (p dividing a content g would imply p divides
-the lead). Follow one row through both reductions, keeping the invariant
-that the row over Z is, mod p, a unit times the row over F_p:
-- a step over Z scales the row by a/gcd(a, c), a unit mod p, and
-  subtracts c/gcd(a, c) times the pivot, c the row's lead entry. If p
-  divides c, the subtraction vanishes mod p and the F_p row, zero in that
-  column, takes no step; otherwise both subtract the same multiple of the
-  pivot, up to the unit;
-- so a row that reduces to zero over Z reduces to zero mod p;
-- a remainder stored over Z keeps its lead column mod p, its lead being a
-  factor of C, so the F_p reduction stops in the same column and stores
-  the same pivot up to a unit.
-By induction on the rows, the same rows raise the rank in both. So every
-prime that lowers the rank divides C. The converse fails: C also carries
-the row scalings (for a square matrix of full rank it is +-det times
-their product).
+Proof. The remainder of the i-th row of R is S_i times that row minus
+rational multiples of earlier remainders (the pivots are remainders divided
+by their contents); rows that reduced to zero stored nothing. By induction
+the remainders are T R, T lower triangular with diagonal S_1, ..., S_k, so
+on the columns J their determinant is det(T) det(R_J) = S det(R_J). There
+the remainders are also triangular: each is zero left of its lead, and the
+leads lie in distinct columns, so that determinant is +-C. Hence
+D = +-det(R_J), an integer k x k minor of R. If p does not divide it, R
+has rank k over F_p; the rank over F_p of all the rows is at least that,
+and at most the rank over Q, which is k.
 """
 
 from __future__ import annotations
@@ -69,7 +62,7 @@ MINOR_COLS_CAP = 28
 MINOR_COUNT_CAP = 10**4
 
 
-def _reduce(row: dict, pivots: dict, p: int) -> dict:
+def _reduce(row: dict, pivots: dict, p: int, scales=None) -> dict:
     """Reduce a sparse row against pivots until its lead column holds none.
 
     ``pivots`` maps a lead column to its pivot, a list of (column, entry)
@@ -77,7 +70,8 @@ def _reduce(row: dict, pivots: dict, p: int) -> dict:
     row lies in the pivots' span. Over F_p (p > 0) the pivots are monic, so
     a step subtracts c times the pivot, c the row's lead entry. Over Z
     (p = 0) a step scales the row by a/gcd(a, c), a the pivot's lead entry,
-    and subtracts c/gcd(a, c) times the pivot.
+    and subtracts c/gcd(a, c) times the pivot; each scaling other than 1 is
+    appended to scales, when given.
     """
     while row:
         j = min(row)
@@ -98,6 +92,8 @@ def _reduce(row: dict, pivots: dict, p: int) -> dict:
         if a != g:
             s = a // g
             row = {k: s * x for k, x in row.items()}
+            if scales is not None:
+                scales.append(s)
         t = c // g
         for k, v in piv:
             x = row.get(k, 0) - t * v
@@ -152,8 +148,10 @@ class IntRowEchelon:
     Pivots are primitive integer rows (monic residues over F_p); the
     reduction is fraction-free, so the result is exact over the rationals.
     Over Z, ``lead_product`` is the product of the stored remainders' leads
-    before they were made primitive: by the module's lemma the rows added
-    have the same rank over F_p for every prime p that does not divide it.
+    before they were made primitive, divided by that of the scalings their
+    rows took: by the module's lemma +-det of the rows that raised the rank
+    on their lead columns, and the rows added have the same rank over F_p
+    for every prime p that does not divide it.
     """
 
     def __init__(self, ncols: int, p: int = 0):
@@ -162,11 +160,14 @@ class IntRowEchelon:
         self.ncols = ncols
         self.p = p
         self.pivots: dict[int, list] = {}  # lead column -> (column, entry) pairs
-        self.leads: list[int] = []  # over Z only, see lead_product
+        # over Z only, see lead_product: the stored remainders' leads, and
+        # the scalings of their rows
+        self.leads: list[int] = []
+        self.scales: list[int] = []
 
     @property
     def lead_product(self) -> int:
-        return prod(self.leads)
+        return prod(self.leads) // prod(self.scales)
 
     @property
     def rank(self) -> int:
@@ -178,6 +179,7 @@ class IntRowEchelon:
         ech = copy(self)
         ech.pivots = dict(self.pivots)
         ech.leads = list(self.leads)
+        ech.scales = list(self.scales)
         return ech
 
     def reduce(self, row):
@@ -191,13 +193,15 @@ class IntRowEchelon:
 
     def add(self, row) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        rem = _reduce(_sparse(row, self.p), self.pivots, self.p)
+        scales = None if self.p else []
+        rem = _reduce(_sparse(row, self.p), self.pivots, self.p, scales)
         if rem:
             piv = _pivot(rem, self.p)
             j = piv[0][0]
             self.pivots[j] = piv
             if not self.p:
                 self.leads.append(rem[j])
+                self.scales += scales
         return bool(rem)
 
     def extend(self, rows) -> int:

@@ -23,19 +23,20 @@ map, and a failure its failing degrees and at most the two steps around
 them. DegreeReport.path says which of the three gave a degree its rank,
 or that a computed rank was read from an integer one (below).
 
-Ranks read across characteristics (for a monomial ideal and the all-ones
-form, whose map is the same 0/1 matrix in every field). A char-0 decision
-eliminates each map it computes over Z, and keeps its rank and the lead
-product C of its pivots in the ideal's MonomialPart. A char-p decision of
-that ideal reads the rank of a map with an entry when p does not divide C,
-and computes it mod p otherwise. The lemma of ``matrices`` proves the read
-rank is the rank over F_p: with p not dividing C, eliminating the same
-rows in the same order over F_p takes the same steps up to unit scalings,
-because each row scaling a/gcd(a, c) is a unit mod p, a row that reduces
-to zero over Z reduces to zero mod p, a stored remainder keeps its lead
-column mod p, and p dividing a content g implies p divides the lead. No
-prime that lowers the rank is hidden: each divides C. The full scan,
-mult_map_rank and kernel_witness neither read nor fill these ranks.
+Work shared across characteristics. The all-ones form's rows F*m are the
+same 0/1 rows in every field, so _map_rank builds them once per degree and
+keeps them in the MonomialPart of I, for every ideal with that monomial
+part; every other form builds its own. For a monomial ideal the Hilbert
+function is the part's, and its all-ones map is that 0/1 matrix. A char-0
+decision eliminates each map it computes over Z, and keeps its rank and
+lead product D in the part: D = +-det(R_J), R the rows that raised the
+rank and J their lead columns (the lemma of ``matrices``). A char-p
+decision of that ideal reads the rank of a map with an entry when p does
+not divide D, and computes it mod p otherwise. The read rank is the rank
+over F_p: R_J is a k x k minor nonzero mod p, so the rank over F_p is at
+least k, and it is at most the rank over Q, k. No prime that lowers the
+rank is hidden: each divides D. The full scan, mult_map_rank and
+kernel_witness neither read nor fill these ranks.
 
 Verdict strategy: for monomial ideals the all-ones form decides the WLP
 (conclusively); otherwise the all-ones form, then recognized special forms,
@@ -121,7 +122,7 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
               de: int) -> tuple[int, IntRowEchelon]:
     """Rank of x F : (R/I)_d -> (R/I)_de, what the rows F*m, m in std(d),
     add to the rank of the degree-de slice, and the echelon that reached
-    it. Over Z its lead_product includes the slice's leads, none for a
+    it. Over Z its lead_product includes the slice's rows, none for a
     monomial ideal.
 
     A copy of the cached echelon of the degree-de slice (left unchanged)
@@ -129,8 +130,18 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     std(d)[::-1], until it reaches full rank. A row pivots on its leading
     monomial, LM(F)*m when that is standard, and every monomial of the rows
     F*m' before it is below LM(F)*m, because m' < m. So most rows meet no
-    earlier row in their lead column and become pivots without an update."""
-    rows = cache.multiple_rows(F, cache.std(d)[::-1], de)
+    earlier row in their lead column and become pivots without an update.
+
+    The all-ones form's rows are the part's ones_rows, built on first use
+    in any field: their entries are 1, and the kernel never mutates a row."""
+    monomials = cache.std(d)[::-1]
+    if _is_all_ones(F, cache.I.num_vars):
+        shared = cache.shared.ones_rows
+        rows = shared.get(d)
+        if rows is None:
+            rows = shared[d] = tuple(cache.multiple_rows(F, monomials, de))
+    else:
+        rows = cache.multiple_rows(F, monomials, de)
     slice_ech = cache.echelon(de)
     ech = slice_ech.copy()
     return ech.extend(rows) - slice_ech.rank, ech
@@ -138,6 +149,12 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
     return linear_form(r, [1] * r, field)
+
+
+def _is_all_ones(F: HomogeneousPolynomial, r: int) -> bool:
+    """Whether F is x_1 + ... + x_r, in r variables."""
+    return (F.degree == 1 and len(F.terms) == F.num_vars == r
+            and all(c == 1 for c in F.terms.values()))
 
 
 def _recognized_special_forms(I: HomogeneousIdeal, field: FieldSpec) -> list:
@@ -192,7 +209,7 @@ def _verdict_for_form(cache, L, profile, level, full_scan,
     integer is the MonomialPart's all_ones memo when L is the all-ones
     form of a monomial ideal, else None: char 0 fills it with each map it
     computes, char p reads a map's rank from it when p does not divide the
-    entry's lead product (the module docstring).
+    entry's lead product, a minor of the map (the module docstring).
 
     full_scan is the oracle the propagation is tested against: it scans
     up from degree 0 and reads nothing down."""
@@ -280,13 +297,14 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
         if key in tried:
             continue  # the same form again: over a small field draws repeat
         tried.add(key)
+        ranks = integer if _is_all_ones(L, I.num_vars) else None
         verdict = _verdict_for_form(cache, L, profile, level, full_scan,
-                                    integer if L.terms == ones.terms else None)
+                                    ranks)
         verdict.forms_tried = len(tried)
         if verdict.has_wlp:
             return verdict
     # every tried form failed
-    if I.is_monomial and any(L.terms == ones.terms for L in forms):
+    if I.is_monomial and any(_is_all_ones(L, I.num_vars) for L in forms):
         verdict.conclusive = True  # all-ones decides monomial ideals
     elif special and I.num_vars in _PROVEN_SPECIAL_R:
         verdict.conclusive = True  # the family's proof-backed forms all failed

@@ -198,18 +198,33 @@ def test_dict_rows_with_zero_or_unreduced_entries():
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+def stored_minor(rows, ncols):
+    """The echelon of the rows, and det of the rows that raised its rank on
+    their lead columns, by sympy."""
+    ech = IntRowEchelon(ncols)
+    stored = [row for row in rows if ech.add(row)]
+    cols = sorted(ech.pivots)
+    minor = [[row[j] for j in cols] for row in stored]
+    det = (domainmatrix.DomainMatrix.from_list(minor, sympy_domains.ZZ).det()
+           if minor else 1)
+    return ech, int(det)
+
+
 @given(int_matrices(), st.sampled_from(SMALL_PRIMES), st.data())
 @settings(max_examples=200, deadline=None)
 def test_rank_over_q_is_the_rank_mod_every_prime_not_dividing_leads(
         case, p, data):
-    """Rows with a common factor p are mixed in. For every small prime q
-    that does not divide lead_product, rank over F_q equals rank over Q."""
+    """Rows with a common factor p are mixed in. lead_product is +-det of
+    the rows that raised the rank on their lead columns, a copy keeps it,
+    and for every small prime q that does not divide it, rank over F_q
+    equals rank over Q."""
     rows, ncols = case
     rows = [[p * x for x in row] if data.draw(st.booleans()) else row
             for row in rows]
-    ech = IntRowEchelon(ncols)
-    rank = ech.extend(rows)
-    assert ech.copy().lead_product == ech.lead_product != 0
+    ech, det = stored_minor(rows, ncols)
+    rank = ech.rank
+    assert abs(ech.lead_product) == abs(det) != 0
+    assert ech.copy().lead_product == ech.lead_product
     for q in SMALL_PRIMES:
         rank_q = oracle_rank(rows, ncols, sympy_domains.GF(q))
         if ech.lead_product % q:
@@ -220,13 +235,15 @@ def test_rank_over_q_is_the_rank_mod_every_prime_not_dividing_leads(
     ([[2, 2]], 2, 2),  # its primitive lead is 1; its rank over F_2 is 0
     ([[2, 1], [0, 3], [4, 2]], 2, 6),  # the last row adds no lead
     ([[0, 5], [3, 1], [6, 7]], 2, 15),  # the last row reduces to zero
-    # det -3; the second row is scaled by 2, so 2 divides lead_product
-    # though the rank over F_2 is 2
-    ([[2, 1], [3, 0]], 2, -6),
+    # the second row is scaled by 2, and the scaling is divided out: det
+    ([[2, 1], [3, 0]], 2, -3),
+    # the last row is scaled by 2, then by 3: det
+    ([[2, 0, 1], [0, 3, 1], [5, 7, 0]], 3, -29),
 ])
 def test_lead_product_values(rows, ncols, lead_product):
     ech = IntRowEchelon(ncols)
     for row in rows:
         ech.add(row)
     assert ech.lead_product == lead_product
+    assert ech.copy().lead_product == lead_product
     assert IntRowEchelon(ncols, 2).lead_product == 1  # kept over Z only

@@ -176,14 +176,12 @@ def test_map_counts(spec, ch, maps, monkeypatch):
 
 def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
     """After a grid point's char-0 decision, a char-p decision where the
-    WLP holds computes no map when p does not divide the lead product C of
-    the plateau map (h_d = h_{d+1}), and reports the plateau under INTEGER.
-    When p divides C it computes that one map, as without the char-0
-    decision: C carries the row scalings of the elimination as well as
-    det, so p can divide C and not det. Every verdict equals the full
-    scan."""
+    WLP holds computes no map, and reports its plateau (h_d = h_{d+1})
+    under INTEGER: the memo's lead product for that square map is +-its
+    determinant, which p does not divide when the WLP holds. Every verdict
+    equals the full scan."""
     calls = count_maps(monkeypatch)
-    paths = {True: [], False: []}  # by whether p divides C
+    paths = {True: [], False: []}  # by whether p divides the lead product
     for point in level_aci_grid(9, 3):
         monomial_part.cache_clear()
         I = make_ideal(LevelAci(*point), QQ)
@@ -200,6 +198,6 @@ def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
                 assert len(calls) == divides
                 paths[divides].append(plateau.path)
             assert_paths_honest(assert_matches_full_scan(I, field, verdict))
-    assert set(paths[False]) == {INTEGER} and set(paths[True]) == {COMPUTED}
-    # 104 char-p decisions hold; 19 of them compute their plateau map
-    assert (len(paths[False]), len(paths[True])) == (85, 19)
+    assert set(paths[False]) == {INTEGER}
+    # 104 char-p decisions hold; none computes its plateau map
+    assert (len(paths[False]), len(paths[True])) == (104, 0)

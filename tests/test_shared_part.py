@@ -1,10 +1,11 @@
 """The field-independent part of the slice engine (standard monomials, their
-column index and the socle) is shared between characteristics and between
-equal monomial parts through the ideals.monomial_part memo, and so are a
-monomial ideal's all-ones map ranks over Z, which char-p decisions read.
-Every answer given through the shared memo must be the one a cleared memo
-gives; only a rank's path may say it was read from the integer rank where
-the cleared memo computed it."""
+column index, the Hilbert function of the part and the socle) is shared
+between characteristics and between equal monomial parts through the
+ideals.monomial_part memo, and so are the all-ones rows F*m of each degree
+and a monomial ideal's all-ones map ranks over Z, which char-p decisions
+read. Every answer given through the shared memo must be the one a cleared
+memo gives; only a rank's path may say it was read from the integer rank
+where the cleared memo computed it."""
 
 import random
 from dataclasses import replace
@@ -17,10 +18,13 @@ from lefschetz import ideals
 from lefschetz.families import Irr, Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal, SliceCache,
-                              monomial_part, socle_report, standard_monomials)
+                              hilbert_profile, monomial_part, parse_ideal,
+                              socle_report, standard_monomials)
+from lefschetz.matrices import IntRowEchelon
 from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import level_aci_grid
-from lefschetz.wlp import COMPUTED, INTEGER, kernel_witness, wlp_check
+from lefschetz.wlp import (COMPUTED, INTEGER, kernel_witness, mult_map_rank,
+                           wlp_check)
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 LEVEL_SLICE = [LevelAci(*point) for point in list(level_aci_grid(7, 2))[:12]]
@@ -191,3 +195,108 @@ def test_integer_ranks_give_the_answers_of_a_cleared_memo(ascending):
     for step, got in zip(_decisions(ascending), shared):
         monomial_part.cache_clear()
         assert _as_computed(got) == _decide(*step), step[1:]
+
+
+# (x^3, y^3, z^3), and an almost complete intersection with that monomial
+# part whose Hilbert function differs from it in degree 3 and above
+CI3 = _ideal_of(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+ACI3 = "x^3,y^3,z^3,x*y*z-x^2*y"
+
+
+def _aci3(field):
+    return parse_ideal(ACI3, ["x", "y", "z"], field)
+
+
+def _questions(I, field):
+    """(label, call) for what is asked of R/I over field: its Hilbert
+    profile; its verdicts by the all-ones form (a monomial ideal's reads
+    and fills the integer ranks), by the full scan, and by a form with a
+    zero coordinate, which is all-ones in no field; and the ranks of both
+    forms' maps in every degree, by mult_map_rank."""
+    r = I.num_vars
+    ones = linear_form(r, [1] * r, field)
+    other = linear_form(r, [1] * (r - 1) + [0], field)
+    yield "profile", lambda: hilbert_profile(I, field)
+    yield "all-ones", lambda: _as_computed(
+        wlp_check(I, field, strategy="allones"))
+    yield "full scan", lambda: wlp_check(I, field, strategy="allones",
+                                         full_scan=True)
+    yield "other form", lambda: wlp_check(I, field, strategy="explicit",
+                                          form=other)
+    for name, F in (("all-ones", ones), ("other", other)):
+        yield f"mult_map_rank {name}", lambda F=F: [
+            mult_map_rank(I, F, d, field) for d in range(
+                len(hilbert_profile(I, field)))]
+
+
+def _shared_steps(ascending):
+    """(label, call) in the order asked: in each characteristic, 0 first or
+    last, J_4 before and after (x_i^4), its monomial part, and the almost
+    complete intersection before and after (x^3, y^3, z^3)."""
+    cases = [("J_4", lambda f: make_ideal(Jr(4), f)), ("CI4", lambda f: CI4),
+             ("J_4", lambda f: make_ideal(Jr(4), f)), ("ACI3", _aci3),
+             ("CI3", lambda f: CI3), ("ACI3", _aci3)]
+    for field in (FIELDS if ascending else FIELDS[::-1]):
+        for name, make in cases:
+            for label, call in _questions(make(field), field):
+                yield (name, field, label), call
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_shared_rows_and_profiles_give_the_answers_of_a_cleared_memo(
+        ascending):
+    """The all-ones rows and the part's Hilbert function, made in one field
+    or for one ideal, answer as with a memo cleared before every call: for
+    another form, in another degree, and for a non-monomial ideal with the
+    same monomial part, whose profile is its own."""
+    monomial_part.cache_clear()
+    steps = list(_shared_steps(ascending))
+    shared = [call() for _, call in steps]
+    assert (tuple(hilbert_profile(_aci3(QQ), QQ))
+            != tuple(hilbert_profile(CI3, QQ)))
+    for (label, call), got in zip(steps, shared):
+        monomial_part.cache_clear()
+        assert got == call(), label
+
+
+def test_level_chars_pass_builds_each_map_rows_once(monkeypatch):
+    """On the level-chars grid, each point decided in every characteristic
+    of the benchmark in turn (the memo cleared per point), the rows of
+    each map are built at most once: every later field reads the all-ones
+    rows of that degree."""
+    calls = []
+    rows = SliceCache.multiple_rows
+
+    def counted(self, poly, monomials, d):
+        calls.append((point, d))
+        return rows(self, poly, monomials, d)
+
+    monkeypatch.setattr(SliceCache, "multiple_rows", counted)
+    for point in level_aci_grid(9, 3):
+        monomial_part.cache_clear()
+        for ch in (0, 2, 3, 5, 7, 11, 13):
+            field = GF(ch) if ch else QQ
+            wlp_check(make_ideal(LevelAci(*point), field), field)
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("spec, first, second",
+                         [(LevelAci(2, 3, 4, 5), QQ, GF(3)),
+                          (LevelAci(1, 2, 3, 3), GF(7), QQ)])
+def test_monomial_profile_builds_no_echelon(monkeypatch, spec, first,
+                                            second):
+    """A monomial ideal's Hilbert profile is its part's count of standard
+    monomials: in a second characteristic it builds no IntRowEchelon and
+    equals the first."""
+    built = []
+    init = IntRowEchelon.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monomial_part.cache_clear()
+    profile = hilbert_profile(make_ideal(spec, first), first)
+    monkeypatch.setattr(IntRowEchelon, "__init__", counted)
+    assert hilbert_profile(make_ideal(spec, second), second) == profile
+    assert not built

@@ -13,7 +13,11 @@ DIR is a checkout of the revision to compare against (for instance a
 - ``chain --r R --family F --json`` for R = 3..7 and F = irr, jr (the
   h-vector calculus), ``hilbert --family jr --r 4 --char 0 --char 5 --json``
   and ``wlp --family jr --r 4 --char 0 --char 2 --char 5 --json`` (a
-  non-monomial ideal's Hilbert profile and verdicts): exit code and stdout;
+  non-monomial ideal's Hilbert profile and verdicts), and
+  ``hilbert --family irr --r 5 --char 2 --char 0 --json`` and
+  ``wlp --family jr --r 4 --char 2 --char 0 --char 5 --json`` (the
+  monomial part's Hilbert function and all-ones rows first made in char
+  p, then read in char 0): exit code and stdout;
 - ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
   --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
   and 5 (level ideals whose failures span several degrees), the
@@ -60,6 +64,12 @@ COMMANDS = ([("verify-paper", ["verify-paper"])]
                ("wlp Jr(4) chars 0, 2, 5 --json",
                 ["wlp", "--family", "jr", "--r", "4", "--char", "0",
                  "--char", "2", "--char", "5", "--json"]),
+               ("hilbert Irr(5) chars 2, 0 --json",
+                ["hilbert", "--family", "irr", "--r", "5", "--char", "2",
+                 "--char", "0", "--json"]),
+               ("wlp Jr(4) chars 2, 0, 5 --json",
+                ["wlp", "--family", "jr", "--r", "4", "--char", "2",
+                 "--char", "0", "--char", "5", "--json"]),
                ("wlp LevelAci(1,2,3,4) chars 0, 2, 3 --json",
                 ["wlp", "--family", "levelaci", "--alpha", "1", "--beta", "2",
                  "--gamma", "3", "--t", "4", "--char", "0", "--char", "2",
