@@ -17,8 +17,8 @@ part, enumerate their monomials once, and a monomial ideal builds no
 echelon for its Hilbert profile. The part also keeps the rows F*m of the
 all-ones form F in each degree, whose entries are 1 in every field, for
 every ideal with that monomial part; and a monomial ideal's all-ones map
-ranks over Z, each with a nonzero maximal minor of its rows, which answer
-the rank in every characteristic that does not divide that minor.
+ranks over Z, each with a nonzero minor of its rows of size the rank,
+which answer the rank in every characteristic that does not divide it.
 The engine also owns the Hilbert profile (a ``HilbertProfile``, the one
 type for Hilbert functions and h-vectors) and the Artinian test.
 """
