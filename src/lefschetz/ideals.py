@@ -7,20 +7,20 @@ monomials, so quotient dimensions reduce to counting standard monomials.
 
 What does not depend on the field is computed once per process and shared:
 the standard monomials of the monomial part in each degree, their column
-index, the part's Hilbert function, and the socle of a monomial ideal live
-in a ``MonomialPart``, kept by ``monomial_part`` in an LRU memo of
-MONOMIAL_PARTS (two) entries keyed by (number of variables, sorted distinct
-monomial generators). A ``SliceCache`` holds one of them and adds only the
-field-dependent echelons of the non-monomial slice rows, so an ideal
-decided in several characteristics, or two ideals with an equal monomial
-part, enumerate their monomials once, and a monomial ideal builds no
-echelon for its Hilbert profile. The part also keeps the rows F*m of the
-all-ones form F in each degree, whose entries are 1 in every field, for
-every ideal with that monomial part; and a monomial ideal's all-ones map
-ranks over Z, each with a nonzero minor of its rows of size the rank,
-which answer the rank in every characteristic that does not divide it.
-The engine also owns the Hilbert profile (a ``HilbertProfile``, the one
-type for Hilbert functions and h-vectors) and the Artinian test.
+index, and the socle of a monomial ideal live in a ``MonomialPart``, kept
+by ``monomial_part`` in an LRU memo of MONOMIAL_PARTS (two) entries keyed
+by (number of variables, sorted distinct monomial generators). A
+``SliceCache`` holds one of them and adds only the field-dependent echelons
+of the non-monomial slice rows, so an ideal decided in several
+characteristics, or two ideals with an equal monomial part, enumerate their
+monomials once, and a monomial ideal builds no echelon for its Hilbert
+profile. The part also keeps the rows F*m of the all-ones form F in each
+degree, whose entries are 1 in every field, for every ideal with that
+monomial part; and a monomial ideal's all-ones map ranks over Z, each with
+a nonzero minor of its rows of size the rank, which answer the rank in
+every characteristic that does not divide it. The engine also owns the
+Hilbert profile (a ``HilbertProfile``, the one type for Hilbert functions
+and h-vectors) and the Artinian test.
 """
 
 from __future__ import annotations
@@ -139,14 +139,6 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
     return list(SliceCache(I, QQ).std(d))
 
 
-def _until_zero(h) -> tuple:
-    """h(0), h(1), ... up to the first zero, which is included."""
-    values = [h(0)]
-    while values[-1]:
-        values.append(h(len(values)))
-    return tuple(values)
-
-
 # entries the monomial_part memo keeps: an ideal decided in every
 # characteristic in turn needs one; verify.criterion_3, which alternates
 # between two ideals in each characteristic, needs two
@@ -156,7 +148,7 @@ MONOMIAL_PARTS = 2
 class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
     per degree the standard monomials (a tuple) and their column index, the
-    Hilbert function and the socle once asked for, and the all-ones rows
+    socle once asked for, and the all-ones rows
     and map ranks below. Shared between slice engines through
     monomial_part, so nothing filled in may be changed.
 
@@ -194,7 +186,6 @@ class MonomialPart:
         self._std: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
-        self._hilbert: tuple | None = None
         self.ones_rows: dict[int, tuple] = {}
         self.all_ones: dict[int, tuple[int, int]] = {}
 
@@ -213,16 +204,6 @@ class MonomialPart:
         only read it."""
         self.std(d)
         return self._index[d]
-
-    def hilbert(self) -> tuple:
-        """h(d) = len(std(d)) from d = 0 until it vanishes, computed once:
-        the Hilbert function of the monomial ideal itself. NotArtinianError,
-        with ``reason``, when a variable has no pure power."""
-        if self._hilbert is None:
-            if self.reason:
-                raise NotArtinianError(self.reason)
-            self._hilbert = _until_zero(lambda d: len(self.std(d)))
-        return self._hilbert
 
     def socle(self) -> tuple:
         """Standard monomials m with every m*x_i non-standard, by degree.
@@ -390,13 +371,14 @@ class SliceCache:
 
     def profile(self) -> HilbertProfile:
         """h(d) = dim (R/I)_d from d = 0 until it vanishes, computed once;
-        NotArtinianError when R/I is not Artinian. A monomial ideal reads
-        its part's Hilbert function, the same in every field."""
+        NotArtinianError when R/I is not Artinian. A monomial ideal counts
+        its part's standard monomials, so it builds no echelon."""
         if self._profile is None:
             self.require_artinian()
-            self._profile = HilbertProfile(
-                _until_zero(self.dim) if self.poly_gens
-                else self.shared.hilbert())
+            values = [self.dim(0)]
+            while values[-1]:
+                values.append(self.dim(len(values)))
+            self._profile = HilbertProfile(tuple(values))
         return self._profile
 
 

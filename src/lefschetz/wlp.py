@@ -27,14 +27,14 @@ Work shared across characteristics. The all-ones form's rows F*m are the
 same 0/1 rows in every field, so _map_rank builds them once per degree and
 keeps them in the MonomialPart of I, for every ideal with that monomial
 part; every other form builds its own. For a monomial ideal the Hilbert
-function is the part's, and its all-ones map is that 0/1 matrix. A char-0
-decision eliminates each map it computes over Z, and keeps its rank and
-lead product D in the part: D = +-det(R_J), R the rows that raised the
-rank and J their lead columns (the lemma of ``matrices``). A char-p
-decision of that ideal reads the rank of a map with an entry when p does
-not divide D, and computes it mod p otherwise. The read rank is the rank
-over F_p: R_J is a k x k minor nonzero mod p, so the rank over F_p is at
-least k, and it is at most the rank over Q, k. No prime that lowers the
+function counts the part's standard monomials, and its all-ones map is that
+0/1 matrix. A char-0 decision eliminates each map it computes over Z, and
+keeps its rank and lead product D in the part: D = +-det(R_J), R the rows
+that raised the rank and J their lead columns (the lemma of ``matrices``).
+A char-p decision of that ideal reads the rank of a map with an entry when
+p does not divide D, and computes it mod p otherwise. The read rank is the
+rank over F_p: R_J is a k x k minor nonzero mod p, so the rank over F_p is
+at least k, and it is at most the rank over Q, k. No prime that lowers the
 rank is hidden: each divides D. The full scan, mult_map_rank and
 kernel_witness neither read nor fill these ranks.
 

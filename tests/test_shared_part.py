@@ -1,5 +1,5 @@
 """The field-independent part of the slice engine (standard monomials, their
-column index, the Hilbert function of the part and the socle) is shared
+column index and the socle) is shared
 between characteristics and between equal monomial parts through the
 ideals.monomial_part memo, and so are the all-ones rows F*m of each degree
 and a monomial ideal's all-ones map ranks over Z, which char-p decisions
@@ -245,7 +245,7 @@ def _shared_steps(ascending):
 @pytest.mark.parametrize("ascending", [True, False])
 def test_shared_rows_and_profiles_give_the_answers_of_a_cleared_memo(
         ascending):
-    """The all-ones rows and the part's Hilbert function, made in one field
+    """The all-ones rows and the part's standard monomials, made in one field
     or for one ideal, answer as with a memo cleared before every call: for
     another form, in another degree, and for a non-monomial ideal with the
     same monomial part, whose profile is its own."""

@@ -16,7 +16,7 @@ DIR is a checkout of the revision to compare against (for instance a
   non-monomial ideal's Hilbert profile and verdicts), and
   ``hilbert --family irr --r 5 --char 2 --char 0 --json`` and
   ``wlp --family jr --r 4 --char 2 --char 0 --char 5 --json`` (the
-  monomial part's Hilbert function and all-ones rows first made in char
+  monomial part's standard monomials and all-ones rows first made in char
   p, then read in char 0): exit code and stdout;
 - ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
   --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
