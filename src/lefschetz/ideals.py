@@ -9,16 +9,17 @@ What does not depend on the field is computed once per process and shared:
 the standard monomials of the monomial part in each degree, their column
 index, and the socle of a monomial ideal live in a ``MonomialPart``, kept
 by ``monomial_part`` in an LRU memo of MONOMIAL_PARTS (two) entries keyed
-by (number of variables, sorted distinct monomial generators). A
-``SliceCache`` holds one of them and adds only the field-dependent echelons
+by (number of variables, sorted distinct monomial generators). The socle
+is read off the generators, with no monomial enumerated: its monomials are
+the corners of the staircase of standard monomials (Alexander duality;
+Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 5). A
+``SliceCache`` holds one part and adds only the field-dependent echelons
 of the non-monomial slice rows, so an ideal decided in several
 characteristics, or two ideals with an equal monomial part, enumerate their
 monomials once, and a monomial ideal builds no echelon for its Hilbert
-profile. The part also keeps the rows F*m of the all-ones form F in each
-degree, whose entries are 1 in every field, for every ideal with that
-monomial part; and a monomial ideal's all-ones map ranks over Z, each with
-a nonzero minor of its rows of size the rank, which answer the rank in
-every characteristic that does not divide it. The engine also owns the
+profile. The part also keeps the all-ones rows F*m of each degree, and a
+monomial ideal's all-ones map ranks over Z with a minor that answers the
+rank in every characteristic not dividing it. The engine also owns the
 Hilbert profile (a ``HilbertProfile``, the one type for Hilbert functions
 and h-vectors) and the Artinian test.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
-from operator import add
+from operator import add, le
 
 from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators
@@ -63,10 +64,6 @@ class HomogeneousIdeal:
     def polynomial_generators(self) -> list:
         return [g for g in self.generators if not g.is_term]
 
-    def degree_cap(self) -> int:
-        """Crude Artinian-detection bound: sum of the generator degrees."""
-        return sum(g.degree for g in self.generators)
-
 
 class NotArtinianError(ValueError):
     pass
@@ -90,11 +87,13 @@ def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
     A recursion over the exponents, fixed from the first variable on. The
     exponent of variable i stays below the least i-th exponent of the
     generators whose support ends at i and whose earlier exponents divide
-    the fixed prefix, so no divisible monomial is ever built.
+    the fixed prefix, so no divisible monomial is ever built. The last
+    exponent, forced by the degree, is checked in the loop over the one
+    before.
     """
     if num_vars == 0:
         return [()] if d == 0 and not mono_gens else []
-    # per variable i: the generators' prefixes g[:i+1] with last support i
+    # per variable i: (g[:i], g[i]) of the generators g with last support i
     ending = [[] for _ in range(num_vars)]
     caps = [d] * num_vars  # largest exponents, below the pure powers
     for g in mono_gens:
@@ -105,28 +104,37 @@ def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
         if len(support) == 1:
             caps[last] = min(caps[last], g[last] - 1)
         else:
-            ending[last].append(g[:last + 1])
+            ending[last].append((g[:last], g[last]))
     # room[i]: the most degree variables i.. can still take
     room = [0] * (num_vars + 1)
     for i in range(num_vars - 1, -1, -1):
         room[i] = room[i + 1] + caps[i]
+    if d > room[0]:
+        return []
+    if num_vars == 1:
+        return [(d,)]
     top = num_vars - 1
+    last_ending = ending[top]
     out = []
 
     def extend(prefix, i, rest):
         cap = caps[i]
-        for g in ending[i]:
-            if g[i] <= cap and all(a <= b for a, b in zip(g, prefix)):
-                cap = g[i] - 1
-        if i == top:
-            if rest <= cap:
-                out.append(prefix + (rest,))
-            return
+        for head, a in ending[i]:
+            if a <= cap and all(map(le, head, prefix)):
+                cap = a - 1
+        leaf = i + 1 == top
         for a in range(min(rest, cap), max(0, rest - room[i + 1]) - 1, -1):
-            extend(prefix + (a,), i + 1, rest - a)
+            m, b = prefix + (a,), rest - a  # b <= caps[i + 1], by room
+            if not leaf:
+                extend(m, i + 1, b)
+                continue
+            for head, e in last_ending:
+                if e <= b and all(map(le, head, m)):
+                    break
+            else:
+                out.append(m + (b,))
 
-    if d <= room[0]:
-        extend((), 0, d)
+    extend((), 0, d)
     return out
 
 
@@ -148,13 +156,13 @@ MONOMIAL_PARTS = 2
 class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
     per degree the standard monomials (a tuple) and their column index, the
-    socle once asked for, and the all-ones rows
-    and map ranks below. Shared between slice engines through
-    monomial_part, so nothing filled in may be changed.
+    socle (the corners of the staircase, from the generators alone), and
+    the all-ones rows and map ranks below. Shared between slice engines
+    through monomial_part, so nothing filled in may be changed.
 
-    Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
-    a generator (0 for none); ``reason`` names a variable with none ("" when
-    there is none), why the quotient is not Artinian.
+    ``powers[i]`` is the least a with x_i^a a generator (0 for none);
+    ``reason`` names a variable with none ("" when there is none), why the
+    quotient is not Artinian.
 
     ``ones_rows`` maps a degree d to the rows F*m of the all-ones form F,
     for m in std(d)[::-1], on the standard monomials of degree d + 1: the
@@ -162,14 +170,12 @@ class MonomialPart:
     part. ``wlp._map_rank`` fills and reads it.
 
     ``all_ones`` maps a degree d to (rank over Q, lead product) of the
-    all-ones map A_d -> A_{d+1} of the monomial ideal itself, as eliminated
-    over Z with an empty slice echelon. The lead product is +-det of the
-    rows that raised the rank on their lead columns, so it gives the rank
-    over F_p for every p that does not divide it (the lemma of
-    ``matrices``). Only a char-0 ``wlp_check`` of the monomial ideal fills
-    it, and only char-p decisions of that ideal with the all-ones form read
-    it; an ideal with other generators shares the part but not these
-    ranks."""
+    monomial ideal's own all-ones map A_d -> A_{d+1}, eliminated over Z:
+    the lead product is +-det of the rows that raised the rank on their
+    lead columns, so it gives the rank over F_p for every p not dividing it
+    (the lemma of ``matrices``). Only a char-0 ``wlp_check`` of the
+    monomial ideal fills it, and only its char-p decisions read it; an
+    ideal with other generators shares the part but not these ranks."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -206,26 +212,36 @@ class MonomialPart:
         return self._index[d]
 
     def socle(self) -> tuple:
-        """Standard monomials m with every m*x_i non-standard, by degree.
+        """Standard monomials m with every m*x_i non-standard, by degree,
+        then in canonical order: the corners of the staircase.
 
-        With a pure power x_i^a_i of every variable no standard monomial has
-        degree above sum(a_i - 1), so the scan ends there at the latest.
-        Without one every degree has standard monomials: NotArtinianError,
-        with ``reason``."""
+        The pure powers alone have one corner, x^(a - 1). Each generator g
+        removes the monomials it divides: a corner c that g divides gives
+        way to the c with c_i = g_i - 1, one for each x_i dividing g, less
+        those below another corner; the other corners stay. Without a pure
+        power of every variable: NotArtinianError, with ``reason``."""
         if self._socle is None:
             if self.reason:
                 raise NotArtinianError(self.reason)
-            r = self.num_vars
-            socle = []
-            for d in range(sum(self.powers) - r + 1):
-                if not self.std(d):
-                    break
-                above = self.index(d + 1)
-                for m in self.std(d):
-                    if not any(m[:i] + (m[i] + 1,) + m[i + 1:] in above
-                               for i in range(r)):
-                        socle.append(m)
-            self._socle = tuple(socle)
+            corners = [tuple(a - 1 for a in self.powers)]
+            for g in self.mono_gens:
+                kept, split = [], set()
+                for c in corners:
+                    if not all(map(le, g, c)):
+                        kept.append(c)
+                        continue
+                    for i, a in enumerate(g):
+                        if a:
+                            split.add(c[:i] + (a - 1,) + c[i + 1:])
+                pool = kept + list(split)
+                for n in split:
+                    for c in pool:
+                        if n != c and all(map(le, n, c)):
+                            break
+                    else:
+                        kept.append(n)
+                corners = kept
+            self._socle = tuple(sorted(sorted(corners, reverse=True), key=sum))
         return self._socle
 
 
@@ -247,12 +263,8 @@ class SliceCache:
     decides the first and computes the second once; not_artinian gives every
     NotArtinianError its reason. A generator that vanishes raises ValueError.
 
-    The standard monomials, their index and the socle do not depend on the
-    field either: they come from the MonomialPart of I's monomial generators,
-    shared through the monomial_part memo (keyed by the number of variables
-    and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
-    with every engine of an equal monomial part, in any characteristic. So
-    does the Hilbert profile of an ideal with no polynomial generators.
+    The standard monomials, their index and the socle come from the shared
+    MonomialPart of I's monomial generators (the module docstring).
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -353,11 +365,11 @@ class SliceCache:
     def not_artinian(self) -> str:
         """Why R/I is not Artinian ("" when it is), decided once: a monomial
         ideal by its pure powers; any other by those or else by a vanishing
-        slice up to the degree cap."""
+        slice up to the degree cap, the sum of the generator degrees."""
         if self._reason is None:
             self._reason = self.shared.reason
             if self._reason and not self.I.is_monomial:
-                cap = self.I.degree_cap()
+                cap = sum(g.degree for g in self.I.generators)
                 self._reason = "" if any(
                     self.dim(d) == 0 for d in range(1, cap + 1)) else (
                     f"not Artinian: no vanishing slice below degree cap {cap}")
@@ -439,11 +451,8 @@ class HilbertProfile:
 
 def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
                     cache: SliceCache | None = None) -> HilbertProfile:
-    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes, once
-    per engine. NotArtinianError, with the engine's reason, when R/I is not
-    Artinian.
-
-    Field-independent for monomial ideals (standard-monomial counting)."""
+    """h(d) = dim (R/I)_d until it vanishes, computed once per engine
+    (SliceCache.profile)."""
     return slice_engine(I, field, cache).profile()
 
 
@@ -460,14 +469,14 @@ def socle_report(I: HomogeneousIdeal,
     """Socle of a monomial Artinian quotient: standard monomials killed by
     every variable, that is, m with every m*x_i non-standard.
 
-    The socle does not depend on the field: a given engine may be over any
-    field, and the socle is computed once per monomial part and shared; it
-    raises the engine's NotArtinianError, whose reason is the part's."""
+    The socle does not depend on the field, so the given engine may be over
+    any field; it comes from the shared part, whose NotArtinianError it
+    raises."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
     socle = list(cache.shared.socle())
-    degrees = sorted(sum(m) for m in socle)
+    degrees = list(map(sum, socle))  # the socle is sorted by degree
     return SocleReport(socle, degrees, len(socle), len(set(degrees)) <= 1)
 
 

@@ -1,6 +1,8 @@
 """Independent oracles used only by the tests: a cofactor determinant, a
-rank over a field for dense rows with entries in that field, and monomial
-divisibility."""
+rank over a field for dense rows with entries in that field, monomial
+divisibility, and the socle of a monomial quotient by its definition."""
+
+from itertools import product
 
 from lefschetz.fields import FieldSpec
 from lefschetz.matrices import clear_denominators, mod_rank, rank_int_rows
@@ -32,3 +34,21 @@ def rank_rows(rows, ncols: int, field: FieldSpec) -> int:
 def mono_divides(a, b) -> bool:
     """True iff the monomial with exponents a divides the one with b."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def socle_brute(gens, r: int) -> list:
+    """The socle of k[x_1..x_r]/(gens), for exponent tuples gens with a pure
+    power of every variable, by its definition: the standard monomials m
+    with every m*x_i divisible by a generator. It scans the whole box below
+    the least pure powers, which holds every standard monomial, and sorts
+    by degree, then in canonical (descending lexicographic) order."""
+    box = [min(g[i] for g in gens if g[i] and sum(map(bool, g)) == 1)
+           for i in range(r)]
+
+    def standard(m):
+        return not any(mono_divides(g, m) for g in gens)
+
+    socle = [m for m in product(*map(range, box)) if standard(m)
+             and not any(standard(m[:i] + (m[i] + 1,) + m[i + 1:])
+                         for i in range(r))]
+    return sorted(socle, key=lambda m: (sum(m), [-a for a in m]))

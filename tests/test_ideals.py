@@ -5,16 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import ideals
-from lefschetz.families import Jr, make_ideal
+from lefschetz.families import Aci3, Irkd, Irr, Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
-from lefschetz.ideals import (HomogeneousIdeal, NotArtinianError, SliceCache,
-                              hilbert_profile, is_artinian, parse_ideal,
+from lefschetz.ideals import (HomogeneousIdeal, MonomialPart,
+                              NotArtinianError, SliceCache, hilbert_profile,
+                              is_artinian, parse_ideal,
                               restrict_modulo_linear, socle_report,
                               standard_monomial_tuples, standard_monomials)
 from lefschetz.liaison import ci_hvector
 from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
                             linear_form)
-from oracles import mono_divides
+from lefschetz.sweeps import aci3_grid, level_aci_grid
+from oracles import mono_divides, socle_brute
 
 XYZ = ["x", "y", "z"]
 
@@ -159,20 +161,13 @@ def _ideal_of(r, gens):
 
 
 @given(monomial_gens(pure_powers=True))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_socle_matches_definition(case):
     # the socle: standard monomials m with m * x_i in I for every i
     r, gens = case
     gens = [g for g in gens if sum(g)]
     I = _ideal_of(r, gens)
-    top = sum(max(g[i] for g in gens) for i in range(r))
-    socle = []
-    for d in range(top + 1):
-        for m in _brute_standard(gens, r, d):
-            shifts = [tuple(a + (j == i) for j, a in enumerate(m))
-                      for i in range(r)]
-            if all(any(mono_divides(g, s) for g in gens) for s in shifts):
-                socle.append(m)
+    socle = socle_brute(gens, r)
     degrees = sorted(sum(m) for m in socle)
     for rep in (socle_report(I),
                 socle_report(I, SliceCache(I, GF(3)))):
@@ -182,11 +177,49 @@ def test_socle_matches_definition(case):
         assert rep.is_level == (len(set(degrees)) <= 1)
 
 
+def _monomial_gens(spec):
+    I = make_ideal(spec, QQ)
+    return I.num_vars, I.monomial_generators
+
+
+NAMED_SOCLE_CASES = {
+    "level-chars grid": [_monomial_gens(LevelAci(*p))
+                         for p in level_aci_grid(9, 3)],
+    "aci3_grid(4)": [_monomial_gens(Aci3(*p)) for p in aci3_grid(4)],
+    "Irkd(8,2,3), Irkd(7,3,4), Irr(6)": [
+        _monomial_gens(s) for s in (Irkd(8, 2, 3), Irkd(7, 3, 4), Irr(6))],
+    # not level: its socle is y*z, y^4 and x^4*y^3
+    "(x^5,y^5,z^2,xy^4,y^2z,xz)": [
+        (3, [(5, 0, 0), (0, 5, 0), (0, 0, 2), (1, 4, 0), (0, 2, 1),
+             (1, 0, 1)])],
+    # duplicate generators, and redundant ones (x^2*y with x^2, x^3 with
+    # x^2, x*y^2*z with y^2*z), unsorted
+    "duplicate and redundant generators": [
+        (2, [(2, 0), (2, 1), (0, 3), (2, 0), (3, 0)]),
+        (3, [(2, 1, 0), (0, 0, 2), (2, 0, 0), (1, 2, 1), (0, 2, 1),
+             (0, 4, 0), (0, 2, 1), (3, 0, 0), (1, 1, 0)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", NAMED_SOCLE_CASES)
+def test_socle_is_the_definition_on_named_ideals(name, monkeypatch):
+    """The corners of the staircase are the socle of the definition, in its
+    order, and finding them enumerates no standard monomials."""
+    def enumerated(*args):
+        raise AssertionError("socle() enumerated standard monomials")
+
+    monkeypatch.setattr(ideals, "standard_monomial_tuples", enumerated)
+    for r, gens in NAMED_SOCLE_CASES[name]:
+        assert list(MonomialPart(r, tuple(gens)).socle()) == socle_brute(
+            gens, r), gens
+
+
 def test_socle_degrees_come_from_the_engine_not_a_given_profile():
     # socle_report used to scan the degrees of a profile it was given: with
     # the profile of (x^2, y^2, z^2) it found no socle of (x^3, y^3, z^3).
-    # The parameter is gone; the scan stops at the first degree with no
-    # standard monomials, and the socle it finds is shared
+    # The parameter is gone; the socle comes from the generators of the
+    # engine's ideal, and it is shared
     I = ideal("x^3,y^3,z^3")
     J = ideal("x^2,y^2,z^2")
     with pytest.raises(TypeError):
@@ -248,10 +281,10 @@ def test_socle_of_a_non_artinian_ideal_is_an_error(monkeypatch):
             socle_report(I, cache)
     with pytest.raises(NotArtinianError, match="2 has no pure power"):
         SliceCache(I, QQ).shared.socle()
-    # an Artinian part is scanned no further than sum(a_i - 1) + 1
+    # the socle of an Artinian part enumerates no standard monomials
     asked.clear()
     assert SliceCache(ideal("x^2,y^2,z^2"), QQ).shared.socle() == ((1, 1, 1),)
-    assert max(asked) <= 4
+    assert asked == []
 
 
 def test_restriction_drops_variable():

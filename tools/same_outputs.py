@@ -29,7 +29,10 @@ DIR is a checkout of the revision to compare against (for instance a
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
-  in char p), and ``sweep --kind injn``: the JSON-lines records without
+  in char p), ``sweep --kind injn``, ``sweep --kind conj-wlp-d456`` (the
+  ``Irkd`` ideals, with many mixed generators) and ``sweep --kind
+  aci3-mod3 --max-power 4`` (non-level ideals among them, whose level flag
+  decides whether a decision scans down): the JSON-lines records without
   their ``wall_time`` field, and the CSV summary.
 
 The outputs are compared in that order. At the first that differs, the
@@ -90,7 +93,10 @@ SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
           ("half-conj-reversed", HALF_CONJ + ["--char", "3", "--char", "2",
                                               "--char", "0"]),
-          ("injn", ["--kind", "injn"])]
+          ("injn", ["--kind", "injn"]),
+          ("conj-wlp-d456", ["--kind", "conj-wlp-d456"]),
+          ("aci3-mod3-max-power-4", ["--kind", "aci3-mod3", "--max-power",
+                                     "4"])]
 
 
 def lefschetz(tree: Path, args: list, cwd: str) -> str:
