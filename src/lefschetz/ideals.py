@@ -17,9 +17,11 @@ Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 5). A
 of the non-monomial slice rows, so an ideal decided in several
 characteristics, or two ideals with an equal monomial part, enumerate their
 monomials once, and a monomial ideal builds no echelon for its Hilbert
-profile. The part also keeps the all-ones rows F*m of each degree, and a
-monomial ideal's all-ones map ranks over Z with a minor that answers the
-rank in every characteristic not dividing it. The engine also owns the
+profile. The part also keeps the rows F*m of the all-ones form F in each
+degree, whose entries are 1 in every field, for every ideal with that
+monomial part; and a monomial ideal's all-ones map ranks over Z, each with
+a nonzero minor of its rows of size the rank, which answer the rank in
+every characteristic that does not divide it. The engine also owns the
 Hilbert profile (a ``HilbertProfile``, the one type for Hilbert functions
 and h-vectors) and the Artinian test.
 """
@@ -63,6 +65,10 @@ class HomogeneousIdeal:
     @property
     def polynomial_generators(self) -> list:
         return [g for g in self.generators if not g.is_term]
+
+    def degree_cap(self) -> int:
+        """Crude Artinian-detection bound: sum of the generator degrees."""
+        return sum(g.degree for g in self.generators)
 
 
 class NotArtinianError(ValueError):
@@ -160,9 +166,9 @@ class MonomialPart:
     the all-ones rows and map ranks below. Shared between slice engines
     through monomial_part, so nothing filled in may be changed.
 
-    ``powers[i]`` is the least a with x_i^a a generator (0 for none);
-    ``reason`` names a variable with none ("" when there is none), why the
-    quotient is not Artinian.
+    Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
+    a generator (0 for none); ``reason`` names a variable with none ("" when
+    there is none), why the quotient is not Artinian.
 
     ``ones_rows`` maps a degree d to the rows F*m of the all-ones form F,
     for m in std(d)[::-1], on the standard monomials of degree d + 1: the
@@ -170,12 +176,14 @@ class MonomialPart:
     part. ``wlp._map_rank`` fills and reads it.
 
     ``all_ones`` maps a degree d to (rank over Q, lead product) of the
-    monomial ideal's own all-ones map A_d -> A_{d+1}, eliminated over Z:
-    the lead product is +-det of the rows that raised the rank on their
-    lead columns, so it gives the rank over F_p for every p not dividing it
-    (the lemma of ``matrices``). Only a char-0 ``wlp_check`` of the
-    monomial ideal fills it, and only its char-p decisions read it; an
-    ideal with other generators shares the part but not these ranks."""
+    all-ones map A_d -> A_{d+1} of the monomial ideal itself, as eliminated
+    over Z with an empty slice echelon. The lead product is +-det of the
+    rows that raised the rank on their lead columns, so it gives the rank
+    over F_p for every p that does not divide it (the lemma of
+    ``matrices``). Only a char-0 ``wlp_check`` of the monomial ideal fills
+    it, and only char-p decisions of that ideal with the all-ones form read
+    it; an ideal with other generators shares the part but not these
+    ranks."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -263,8 +271,12 @@ class SliceCache:
     decides the first and computes the second once; not_artinian gives every
     NotArtinianError its reason. A generator that vanishes raises ValueError.
 
-    The standard monomials, their index and the socle come from the shared
-    MonomialPart of I's monomial generators (the module docstring).
+    The standard monomials, their index and the socle do not depend on the
+    field either: they come from the MonomialPart of I's monomial generators,
+    shared through the monomial_part memo (keyed by the number of variables
+    and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
+    with every engine of an equal monomial part, in any characteristic. So
+    does the Hilbert profile of an ideal with no polynomial generators.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -365,11 +377,11 @@ class SliceCache:
     def not_artinian(self) -> str:
         """Why R/I is not Artinian ("" when it is), decided once: a monomial
         ideal by its pure powers; any other by those or else by a vanishing
-        slice up to the degree cap, the sum of the generator degrees."""
+        slice up to the degree cap."""
         if self._reason is None:
             self._reason = self.shared.reason
             if self._reason and not self.I.is_monomial:
-                cap = sum(g.degree for g in self.I.generators)
+                cap = self.I.degree_cap()
                 self._reason = "" if any(
                     self.dim(d) == 0 for d in range(1, cap + 1)) else (
                     f"not Artinian: no vanishing slice below degree cap {cap}")
@@ -451,8 +463,11 @@ class HilbertProfile:
 
 def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
                     cache: SliceCache | None = None) -> HilbertProfile:
-    """h(d) = dim (R/I)_d until it vanishes, computed once per engine
-    (SliceCache.profile)."""
+    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes, once
+    per engine. NotArtinianError, with the engine's reason, when R/I is not
+    Artinian.
+
+    Field-independent for monomial ideals (standard-monomial counting)."""
     return slice_engine(I, field, cache).profile()
 
 
@@ -469,14 +484,14 @@ def socle_report(I: HomogeneousIdeal,
     """Socle of a monomial Artinian quotient: standard monomials killed by
     every variable, that is, m with every m*x_i non-standard.
 
-    The socle does not depend on the field, so the given engine may be over
-    any field; it comes from the shared part, whose NotArtinianError it
-    raises."""
+    The socle does not depend on the field: a given engine may be over any
+    field, and the socle is computed once per monomial part and shared; it
+    raises the engine's NotArtinianError, whose reason is the part's."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
     socle = list(cache.shared.socle())
-    degrees = list(map(sum, socle))  # the socle is sorted by degree
+    degrees = sorted(sum(m) for m in socle)
     return SocleReport(socle, degrees, len(socle), len(set(degrees)) <= 1)
 
 
