@@ -125,12 +125,14 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     it. Over Z its lead_product includes the slice's rows, none for a
     monomial ideal.
 
-    A copy of the cached echelon of the degree-de slice (left unchanged)
-    takes the sparse rows F*m, inserted for m in ascending canonical order,
-    std(d)[::-1], until it reaches full rank. A row pivots on its leading
-    monomial, LM(F)*m when that is standard, and every monomial of the rows
-    F*m' before it is below LM(F)*m, because m' < m. So most rows meet no
-    earlier row in their lead column and become pivots without an update.
+    A copy of the cached echelon of the degree-de slice (left unchanged),
+    or a new empty echelon for a monomial ideal, whose slice rows are
+    empty, takes the sparse rows F*m, inserted for m in ascending canonical
+    order, std(d)[::-1], until it reaches full rank. A row pivots on its
+    leading monomial, LM(F)*m when that is standard, and every monomial of
+    the rows F*m' before it is below LM(F)*m, because m' < m. So most rows
+    meet no earlier row in their lead column and become pivots without an
+    update.
 
     The all-ones form's rows are the part's ones_rows, built on first use
     in any field: their entries are 1, and the kernel never mutates a row."""
@@ -142,9 +144,12 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
             rows = shared[d] = tuple(cache.multiple_rows(F, monomials, de))
     else:
         rows = cache.multiple_rows(F, monomials, de)
-    slice_ech = cache.echelon(de)
-    ech = slice_ech.copy()
-    return ech.extend(rows) - slice_ech.rank, ech
+    if cache.poly_gens:
+        ech = cache.echelon(de).copy()
+    else:
+        ech = IntRowEchelon(len(cache.std(de)), cache.field.characteristic)
+    slice_rank = ech.rank
+    return ech.extend(rows) - slice_rank, ech
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:

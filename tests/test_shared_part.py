@@ -300,3 +300,24 @@ def test_monomial_profile_builds_no_echelon(monkeypatch, spec, first,
     monkeypatch.setattr(IntRowEchelon, "__init__", counted)
     assert hilbert_profile(make_ideal(spec, second), second) == profile
     assert not built
+
+
+@pytest.mark.parametrize("spec, has_slices", [(LevelAci(2, 3, 4, 5), False),
+                                              (Irr(4), False), (Jr(4), True)])
+def test_only_polynomial_generators_give_maps_a_slice_echelon(
+        monkeypatch, spec, has_slices):
+    """The maps of a monomial ideal start from a new empty echelon: deciding
+    it, in char 0 and then in char p, builds and copies no slice echelon.
+    An ideal with polynomial generators starts from its slice echelons."""
+    asked = []
+    echelon = SliceCache.echelon
+
+    def counted(self, d):
+        asked.append(d)
+        return echelon(self, d)
+
+    monkeypatch.setattr(SliceCache, "echelon", counted)
+    monomial_part.cache_clear()
+    for field in (QQ, GF(3)):
+        wlp_check(make_ideal(spec, field), field)
+    assert bool(asked) == has_slices
