@@ -34,8 +34,8 @@ from operator import add, le
 
 from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators
-from .rings import (HomogeneousPolynomial, degree_monomials, parse_generators,
-                    poly_add, poly_mul, poly_pow)
+from .rings import (HomogeneousPolynomial, parse_generators, poly_add,
+                    poly_mul, poly_pow)
 
 
 @dataclass
@@ -313,13 +313,20 @@ class SliceCache:
     def slice_rows(self, d: int) -> list:
         """Sparse integer (char 0) or residue (char p) rows spanning the
         non-monomial part of the ideal slice in degree d, projected to
-        standard monomials, without the empty ones (products inside the
-        monomial part), which in high degrees are most of them."""
+        standard monomials: the nonempty rows g*m, for each polynomial
+        generator g and m in std(d - deg g)[::-1]. A non-standard m gives
+        an empty row (every term of g*m lies in the monomial part), and so
+        do many standard ones in high degrees; neither is kept.
+
+        The order is the one _map_rank states for its rows: m ascending in
+        canonical order, so that the lead LM(g)*m of a row, when standard,
+        meets no earlier row of g, and most rows become pivots without an
+        update."""
         rows = []
         for g in self.poly_gens:
             if g.degree <= d:
                 rows += filter(None, self.multiple_rows(
-                    g, degree_monomials(self.I.num_vars, d - g.degree), d))
+                    g, self.std(d - g.degree)[::-1], d))
         return rows
 
     def multiple_rows(self, poly: HomogeneousPolynomial, monomials,

@@ -14,8 +14,9 @@ ignores.
 
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
-insertion order sets the fill (``wlp._map_rank`` states its order). The
-kernel mutates neither a row it is given nor a stored pivot.
+insertion order sets the fill (``wlp._map_rank`` states its order, and
+``ideals.SliceCache.slice_rows`` takes the same). The kernel mutates
+neither a row it is given nor a stored pivot.
 
 Over Z an echelon also keeps, for each remainder it stored, its lead entry
 before it was made primitive, and the scalings a/gcd(a, c) applied to its

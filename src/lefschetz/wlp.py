@@ -42,7 +42,10 @@ Verdict strategy: for monomial ideals the all-ones form decides the WLP
 (conclusively); otherwise the all-ones form, then recognized special forms,
 then seeded random forms with all coordinates nonzero are tried, each
 distinct form once (over a small field the candidates repeat), and any
-success certifies the WLP.
+success certifies the WLP. A failing search reports its last distinct form:
+its reports, failure degrees and form_used. Every earlier form stops at its
+first computed degree that is neither injective nor surjective, usually the
+first step with h_d >= h_{d+1}, so its other degrees are never computed.
 
 Each function reads one slice engine: NotArtinianError for a non-Artinian
 R/I, ValueError for a form in another number of variables.
@@ -201,8 +204,12 @@ def _random_forms(r: int, field: FieldSpec, trials: int, seed: int) -> list:
     return forms
 
 
-def _verdict_for_form(cache, L, profile, level, full_scan,
-                      integer=None) -> WLPVerdict:
+class _Failing(Exception):
+    """A computed degree of a dropped form is not maximal."""
+
+
+def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
+                      last=True) -> WLPVerdict:
     """Every degree's rank of x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, by
     the rule of the module docstring: scan up from the first step with
     h_d >= h_{d+1} to the first surjective step d_s (Prop. 2.1(a)); if the
@@ -217,7 +224,11 @@ def _verdict_for_form(cache, L, profile, level, full_scan,
     entry's lead product, a minor of the map (the module docstring).
 
     full_scan is the oracle the propagation is tested against: it scans
-    up from degree 0 and reads nothing down."""
+    up from degree 0 and reads nothing down.
+
+    last=False is for a form the caller drops if it fails: the first
+    computed degree that is neither injective nor surjective raises
+    _Failing, and no later degree is computed."""
     h = profile
     D = h.socle_degree
     p = cache.field.characteristic
@@ -236,6 +247,8 @@ def _verdict_for_form(cache, L, profile, level, full_scan,
                 ranks[d], ech = _map_rank(cache, L, d, d + 1)
                 if integer is not None and not p:
                     integer[d] = ranks[d], ech.lead_product
+            if not last and ranks[d] < min(h[d], h[d + 1]):
+                raise _Failing
         return ranks[d]
 
     first = 0 if full_scan else next(d for d in range(D + 1)
@@ -266,7 +279,12 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
 
     strategy: "auto" (all-ones, then recognized special forms, then seeded
     random), "allones", "random", or "explicit" with an explicit form.
+    The verdict is that of the first distinct form that holds, or else of
+    the last one; an earlier form that fails stops at its first failing
+    degree (the module docstring). ValueError for trials < 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cache = SliceCache(I, field)
     profile = hilbert_profile(I, field, cache)
     level = socle_report(I, cache).is_level if I.is_monomial else False
@@ -295,17 +313,18 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    verdict = None
-    tried = set()
-    for L in forms:
-        key = frozenset(L.terms.items())
-        if key in tried:
-            continue  # the same form again: over a small field draws repeat
-        tried.add(key)
+    distinct = {}
+    for L in forms:  # each form once: over a small field the draws repeat
+        distinct.setdefault(frozenset(L.terms.items()), L)
+    forms = list(distinct.values())
+    for n, L in enumerate(forms, 1):
         ranks = integer if _is_all_ones(L, I.num_vars) else None
-        verdict = _verdict_for_form(cache, L, profile, level, full_scan,
-                                    ranks)
-        verdict.forms_tried = len(tried)
+        try:
+            verdict = _verdict_for_form(cache, L, profile, level, full_scan,
+                                        ranks, last=n == len(forms))
+        except _Failing:
+            continue  # fails; only the last form's report is returned
+        verdict.forms_tried = n
         if verdict.has_wlp:
             return verdict
     # every tried form failed

@@ -26,6 +26,11 @@ DIR is a checkout of the revision to compare against (for instance a
   11, 0, 3 and 5 (det M = 2^3 3^4 11^2: in one process, characteristics
   decided before and after char 0 has computed the integer ranks, both
   ones that divide det M and one that does not): exit code and stdout;
+- ``wlp --family jr --r 5 --char 3 --char 5 --char 7 --json`` and
+  ``wlp --family jr --r 4 --char 5 --strategy random --trials 8 --json``
+  (long failing searches, each reported from its last distinct form while
+  the earlier forms stop at their first failing degree): exit code and
+  stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -87,7 +92,13 @@ COMMANDS = ([("verify-paper", ["verify-paper"])]
                 ["wlp", "--json", "--family", "levelaci", "--alpha", "3",
                  "--beta", "3", "--gamma", "3", "--t", "7", "--char", "2",
                  "--char", "11", "--char", "0", "--char", "3", "--char",
-                 "5"])])
+                 "5"]),
+               ("wlp Jr(5) chars 3, 5, 7 --json",
+                ["wlp", "--family", "jr", "--r", "5", "--char", "3",
+                 "--char", "5", "--char", "7", "--json"]),
+               ("wlp Jr(4) char 5 --strategy random --trials 8 --json",
+                ["wlp", "--family", "jr", "--r", "4", "--char", "5",
+                 "--strategy", "random", "--trials", "8", "--json"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
