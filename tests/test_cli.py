@@ -114,6 +114,15 @@ def test_usage_error_unit_ideal(capsys, command):
     assert "degree 0" in capsys.readouterr().err
 
 
+def test_usage_error_trials_below_one(capsys):
+    # this ended in a traceback: AttributeError on a verdict of None
+    with pytest.raises(SystemExit) as exc:
+        main(["wlp", "--family", "jr", "--r", "3", "--strategy", "random",
+              "--trials", "0"])
+    assert exc.value.code == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_usage_error_bad_gens(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--gens", "x^2 +", "--vars", "x,y"])

@@ -11,7 +11,6 @@ it needs computed."""
 import pytest
 
 from lefschetz import wlp
-from lefschetz.cli import main
 from lefschetz.families import INJN, Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import parse_ideal
@@ -105,12 +104,3 @@ def test_trials_below_one_is_rejected(strategy):
     with pytest.raises(ValueError, match="trials"):
         wlp_check(make_ideal(Jr(3), field), field, strategy=strategy,
                   trials=0)
-
-
-def test_cli_rejects_trials_below_one(capsys):
-    # this ended in a traceback: AttributeError on a verdict of None
-    with pytest.raises(SystemExit) as exc:
-        main(["wlp", "--family", "jr", "--r", "3", "--strategy", "random",
-              "--trials", "0"])
-    assert exc.value.code == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
