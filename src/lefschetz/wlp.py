@@ -281,10 +281,14 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
     random), "allones", "random", or "explicit" with an explicit form.
     The verdict is that of the first distinct form that holds, or else of
     the last one; an earlier form that fails stops at its first failing
-    degree (the module docstring). ValueError for trials < 1.
+    degree (the module docstring). ValueError for trials < 1, or for a
+    form with any strategy but "explicit".
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if form is not None and strategy != "explicit":
+        raise ValueError("a form is taken only by strategy 'explicit', "
+                         f"not {strategy!r}")
     cache = SliceCache(I, field)
     profile = hilbert_profile(I, field, cache)
     level = socle_report(I, cache).is_level if I.is_monomial else False

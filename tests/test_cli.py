@@ -1,9 +1,13 @@
+import dataclasses
+import inspect
 import json
+import typing
 
 import pytest
 
-from lefschetz.cli import main
-from lefschetz.sweeps import payload_without_wall_time
+from lefschetz.cli import FAMILIES, SWEEP_BOUNDS, build_parser, main
+from lefschetz.families import FamilySpec
+from lefschetz.sweeps import SWEEPS, payload_without_wall_time, run_sweep
 
 
 def run(capsys, *argv):
@@ -156,4 +160,95 @@ def test_sweep_cap_enforced(tmp_path, capsys):
         main(["sweep", "--kind", "aci3-mod3", "--out",
               str(tmp_path / "x.jsonl"), "--max-power", "9"])
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("char", ["4", "3037000507"])
+def test_sweep_char_checked_as_for_wlp(tmp_path, capsys, char):
+    # both ran or left an empty .jsonl: 4 is not prime, and the prime
+    # 3037000507 is above MAX_MOD_RANK_PRIME, which wlp refuses
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--kind", "half-conj", "--max-sum", "3", "--tspan",
+              "0", "--char", char, "--out", str(tmp_path / "x.jsonl")])
+    assert exc.value.code == 2
+    assert f"--char {char}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("half-conj", ["--max-power", "3"]),
+    ("conj-wlp-d456", ["--max-sum", "6", "--tspan", "1", "--max-power", "3"]),
+    ("aci3-mod3", ["--char", "0", "--max-sum", "6", "--tspan", "1"]),
+    ("injn", ["--char", "5", "--max-sum", "6", "--tspan", "1",
+              "--max-power", "3"]),
+])
+def test_sweep_refuses_a_flag_its_kind_does_not_take(tmp_path, capsys, kind,
+                                                     flags):
+    # each was dropped: --kind injn --char 5 wrote 12 char-0 records
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--kind", kind, "--out", str(tmp_path / "x.jsonl"),
+              *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_sweep_stamps_its_seed_and_passes_it_to_injn_only(tmp_path):
+    path = tmp_path / "injn.jsonl"
+    assert run_sweep("injn", path, seed=7, ns=(2,), num_seeds=2) == 3
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["params"]["form_seed"] for r in recs] == [0, 7, 8]
+    for rec in recs:
+        assert list(rec)[:3] == ["schema_version", "kind", "seed"]
+        assert list(rec)[-1] == "wall_time"
+        assert (rec["kind"], rec["seed"]) == ("injn", 7)
+    with pytest.raises(ValueError, match="--char"):
+        run_sweep("injn", tmp_path / "bad.jsonl", char=(5,))
+    assert not (tmp_path / "bad.jsonl").exists()
+
+
+def test_every_sweep_bound_flag_is_taken_by_some_kind():
+    args = build_parser().parse_args(["sweep", "--kind", "injn", "--out",
+                                      "x.jsonl"])
+    for name in SWEEP_BOUNDS:
+        assert hasattr(args, name)
+        assert any(name in inspect.signature(generator).parameters
+                   for generator in SWEEPS.values()), name
+
+
+def test_family_table_covers_every_spec_with_its_required_fields():
+    assert {cls for cls, _ in FAMILIES.values()} == \
+        set(typing.get_args(FamilySpec))
+    for cls, flags in FAMILIES.values():
+        required = tuple(f.name for f in dataclasses.fields(cls)
+                         if f.default is dataclasses.MISSING)
+        assert flags == required, cls.__name__
+
+
+@pytest.mark.parametrize("argv, named", [
+    # printed 1 3 6 6 3 for Jr(3), dropping --N and --alpha
+    (["hilbert", "--family", "jr", "--r", "3", "--N", "5", "--alpha", "2"],
+     ["--N", "--alpha"]),
+    # used the generators and dropped the family
+    (["hilbert", "--gens", "x^2,y^2,z^2", "--vars", "x,y,z", "--family",
+      "irr", "--r", "3"], ["--family", "--gens"]),
+    (["wlp", "--family", "irr", "--r", "3", "--vars", "x,y,z"],
+     ["--family", "--vars"]),
+    (["hilbert", "--gens", "x^2,y^2,z^2", "--vars", "x,y,z", "--r", "3"],
+     ["--r"]),
+    (["betti", "--family", "irk", "--r", "3", "--k", "3", "--t", "2"],
+     ["--t"]),
+    (["betti", "--family", "irk", "--r", "3"], ["--k"]),
+    # betti took --gens/--vars, ignored them and asked for them
+    (["betti", "--gens", "x^2,y^2", "--vars", "x,y"], ["--gens"]),
+])
+def test_quotient_refuses_a_flag_its_input_does_not_take(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for flag in named:
+        assert flag in err
 

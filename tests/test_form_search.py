@@ -14,6 +14,7 @@ from lefschetz import wlp
 from lefschetz.families import INJN, Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import parse_ideal
+from lefschetz.rings import linear_form
 from lefschetz.wlp import DEFAULT_SEED, DEFAULT_TRIALS, wlp_check
 
 IDEALS = {
@@ -104,3 +105,14 @@ def test_trials_below_one_is_rejected(strategy):
     with pytest.raises(ValueError, match="trials"):
         wlp_check(make_ideal(Jr(3), field), field, strategy=strategy,
                   trials=0)
+
+
+@pytest.mark.parametrize("strategy", ["auto", "random", "allones"])
+def test_a_form_with_a_searching_strategy_is_rejected(strategy):
+    # the form was dropped: Jr(4) over GF(5) tried 9 other forms instead
+    field = GF(5)
+    I = make_ideal(Jr(4), field)
+    L = linear_form(4, [1, 2, 3, 4], field)
+    with pytest.raises(ValueError, match="explicit"):
+        wlp_check(I, field, strategy=strategy, form=L)
+    assert wlp_check(I, field, strategy="explicit", form=L).forms_tried == 1

@@ -7,6 +7,9 @@ DIR is a checkout of the revision to compare against (for instance a
 ``tools/bench_pairs.py``. Each output below is made once in each tree, by
 ``python -m lefschetz.cli`` with that tree's ``src`` first on the path:
 
+- ``--help`` of ``lefschetz`` and of every subcommand but ``betti``
+  (whose help lost ``--gens`` and ``--vars``, which it never used): exit
+  code and stdout;
 - ``verify-paper``: its exit code and stdout;
 - ``witness --r R --json`` for R = 3..6, and
   ``detm --alpha 3 --beta 3 --gamma 3 --t 7 --json``: exit code and stdout;
@@ -37,8 +40,11 @@ DIR is a checkout of the revision to compare against (for instance a
   in char p), ``sweep --kind injn``, ``sweep --kind conj-wlp-d456`` (the
   ``Irkd`` ideals, with many mixed generators) and ``sweep --kind
   aci3-mod3 --max-power 4`` (non-level ideals among them, whose level flag
-  decides whether a decision scans down): the JSON-lines records without
-  their ``wall_time`` field, and the CSV summary.
+  decides whether a decision scans down), and ``sweep --kind injn --seed
+  7`` and ``sweep --kind half-conj --max-sum 6 --tspan 1 --seed 7`` (a
+  seed other than the default, which the record envelope stamps): the
+  JSON-lines records without their ``wall_time`` field, and the CSV
+  summary.
 
 The outputs are compared in that order. At the first that differs, the
 tool prints its name and the first line where the two trees part, and
@@ -57,7 +63,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COMMANDS = ([("verify-paper", ["verify-paper"])]
+HELP = ["hilbert", "wlp", "detm", "witness", "chain", "sweep", "verify-paper"]
+COMMANDS = ([("lefschetz --help", ["--help"])]
+            + [(f"{cmd} --help", [cmd, "--help"]) for cmd in HELP]
+            + [("verify-paper", ["verify-paper"])]
             + [(f"witness --r {r} --json", ["witness", "--r", str(r), "--json"])
                for r in range(3, 7)]
             + [("detm (3,3,3,7) --json",
@@ -107,7 +116,10 @@ SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
           ("injn", ["--kind", "injn"]),
           ("conj-wlp-d456", ["--kind", "conj-wlp-d456"]),
           ("aci3-mod3-max-power-4", ["--kind", "aci3-mod3", "--max-power",
-                                     "4"])]
+                                     "4"]),
+          ("injn-seed-7", ["--kind", "injn", "--seed", "7"]),
+          ("half-conj-seed-7", ["--kind", "half-conj", "--max-sum", "6",
+                                "--tspan", "1", "--seed", "7"])]
 
 
 def lefschetz(tree: Path, args: list, cwd: str) -> str:
