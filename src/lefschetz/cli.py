@@ -133,11 +133,11 @@ def fields_from_chars(chars, parser):
     """The field of each --char; a usage error unless it is 0 or a prime
     small enough for the int64 ranks."""
     for ch in chars:
-        if ch != 0 and not is_prime(ch):
-            parser.error(f"--char {ch} is neither 0 nor prime")
         if ch > MAX_MOD_RANK_PRIME:
             parser.error(f"--char {ch} is outside the supported range: "
                          "primes with p*p < 2^63")
+        if ch != 0 and not is_prime(ch):
+            parser.error(f"--char {ch} is neither 0 nor prime")
     return [FieldSpec(ch) for ch in chars]
 
 

@@ -13,7 +13,7 @@ from itertools import permutations
 from math import comb
 
 from .fields import QQ
-from .matrices import det_integer, factor
+from .matrices import det_integer, factor, perm_sign
 from .rings import (HomogeneousPolynomial, degree_monomials, linear_form,
                     poly_mul, poly_pow)
 
@@ -97,32 +97,12 @@ def criterion_report(alpha: int, beta: int, gamma: int, t: int) -> CriterionRepo
     return CriterionReport(alpha, beta, gamma, t, M, det, factors, failing)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def vandermonde_determinant_form(num_vars: int) -> HomogeneousPolynomial:
     """F = sum over permutations sigma of (0..n-1) of sign(sigma) *
     prod_i x_i^sigma(i), with integer coefficients."""
-    terms: dict = {}
-    for perm in permutations(range(num_vars)):
-        e = tuple(perm)
-        terms[e] = terms.get(e, 0) + _perm_sign(perm)
     return HomogeneousPolynomial.from_terms(
-        num_vars, {e: c for e, c in terms.items() if c},
+        num_vars, {perm: perm_sign(perm)
+                   for perm in permutations(range(num_vars))},
         degree=num_vars * (num_vars - 1) // 2)
 
 

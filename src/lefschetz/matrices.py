@@ -1,16 +1,14 @@
 """Exact matrix arithmetic: rank, membership and kernel relations over Q and
-F_p, fraction-free determinants, minor gcds, and small-integer factorization.
+F_p, integer determinants, minor gcds, and small-integer factorization.
 
-Ranks, membership tests and kernel relations over F_p and over Q run on one
+Ranks, membership tests, kernel relations and determinants run on one
 sparse elimination kernel in Python integers. A row is a dense sequence or
 a ``{column: int}`` dict, the form the slice engine emits; either is read
 into a new dict of its nonzero entries (residues over F_p). Rows are
 reduced against pivots keyed by their lead column, the least column with a
 nonzero entry: monic residues over F_p, and over Q integer rows (with
 denominators cleared) under a fraction-free reduction, so every result is
-exact. Determinants and minor gcds take a matrix as a list of int rows and
-use Bareiss elimination instead, which keeps the sign and scale a rank
-ignores.
+exact. Determinants and minor gcds take a matrix as a list of int rows.
 
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
@@ -39,16 +37,29 @@ leads lie in distinct columns, so that determinant is +-C. Hence
 D = +-det(R_J), an integer k x k minor of R. If p does not divide it, R
 has rank k over F_p; the rank over F_p of all the rows is at least that,
 and at most the rank over Q, which is k.
+
+Corollary (``det_integer``). Add the rows of a square matrix A in order
+to an empty echelon. If one does not raise the rank, det A = 0. Otherwise
+R = A, J is every column, and det A = sign(l) D for l the permutation of
+lead columns in row order: sorting the remainders by lead column makes
+them upper triangular with the leads on the diagonal.
+
+Minor gcds (``gcd_of_maximal_minors``). Subtracting a multiple of one row
+from another is a unimodular U, and the maximal minors of U A are integer
+combinations of those of A (Cauchy-Binet), and conversely through U^-1, so
+their gcd is kept. A Euclid on the rows alone may thus clear a column down
+to one entry p; every nonzero maximal minor then takes that row, and
+expanding along the column gives gcd(A) = |p| gcd(A'), A' the other rows
+without the column.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from copy import copy
-from itertools import combinations
-from math import comb, gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
-from .fields import is_prime
+from .fields import MILLER_RABIN_BOUND, is_prime
 
 # Unused by the library; it stays bound because the benchmark tracer
 # (wlpbench/tracer.py) names mod_rank spans by it.
@@ -59,8 +70,6 @@ _CERT_PRIME = 2**31 - 1
 MAX_MOD_RANK_PRIME = isqrt(2**63 - 1)
 
 FACTOR_BOUND = 10**6
-MINOR_COLS_CAP = 28
-MINOR_COUNT_CAP = 10**4
 
 
 def _reduce(row: dict, pivots: dict, p: int, scales=None) -> dict:
@@ -148,11 +157,8 @@ class IntRowEchelon:
 
     Pivots are primitive integer rows (monic residues over F_p); the
     reduction is fraction-free, so the result is exact over the rationals.
-    Over Z, ``lead_product`` is the product of the stored remainders' leads
-    before they were made primitive, divided by that of the scalings their
-    rows took: by the module's lemma +-det of the rows that raised the rank
-    on their lead columns, and the rows added have the same rank over F_p
-    for every prime p that does not divide it.
+    Over Z, ``lead_product`` is the D of the module's lemma: +-det of the
+    rows that raised the rank on their lead columns.
     """
 
     def __init__(self, ncols: int, p: int = 0):
@@ -272,41 +278,30 @@ def _int_rows(rows) -> tuple[list, int]:
     return out, ncols
 
 
+def perm_sign(perm) -> int:
+    """The sign of a permutation of 0..n-1, given as the list of images:
+    -1 to the number of transpositions that sort it."""
+    perm, sign = list(perm), 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            sign = -sign
+    return sign
+
+
 def det_integer(m) -> int:
-    """Exact determinant of a square matrix of int rows by Bareiss
-    elimination."""
+    """Exact determinant of a square matrix of int rows, from the echelon of
+    its rows (the module's corollary)."""
     a, ncols = _int_rows(m)
     if len(a) != ncols:
         raise ValueError(
             f"determinant needs a square matrix, got {len(a)}x{ncols}")
-    return _bareiss(a)
-
-
-def _bareiss(a) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                ai[j] = (pk * ai[j] - aik * row_k[j]) // prev
-            ai[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+    ech = IntRowEchelon(ncols)
+    for row in a:
+        if not ech.add(row):
+            return 0
+    return perm_sign(list(ech.pivots)) * ech.lead_product
 
 
 def factor(n: int):
@@ -314,7 +309,8 @@ def factor(n: int):
 
     Returns (factors, cofactor) where factors is a {prime: exponent} dict and
     cofactor is 1 when the factorization is complete, otherwise the unfactored
-    remainder.
+    remainder: a composite with no prime factor up to FACTOR_BOUND, or a
+    number of at least MILLER_RABIN_BOUND, past what is_prime can decide.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -332,8 +328,10 @@ def factor(n: int):
                 n //= q
         d += 6
     if n > 1:
-        # any remaining cofactor below FACTOR_BOUND^2 must itself be prime
-        if n <= FACTOR_BOUND * FACTOR_BOUND or is_prime(n):
+        # any remaining cofactor below FACTOR_BOUND^2 must itself be prime;
+        # one at or above MILLER_RABIN_BOUND stays unresolved
+        if n <= FACTOR_BOUND * FACTOR_BOUND or (n < MILLER_RABIN_BOUND
+                                                 and is_prime(n)):
             factors[n] = factors.get(n, 0) + 1
             n = 1
     return factors, n
@@ -341,18 +339,25 @@ def factor(n: int):
 
 def gcd_of_maximal_minors(m) -> int:
     """Gcd of the absolute values of all maximal (cols x cols) minors of a
-    matrix of int rows."""
-    a, cols = _int_rows(m)
-    rows = len(a)
-    if rows < cols:
+    matrix of int rows, by a Euclid on its rows (see the module docstring):
+    in each column the pivot is the live row with the least nonzero entry
+    there in absolute value."""
+    live, cols = _int_rows(m)
+    if len(live) < cols:
         raise ValueError("need rows >= cols")
-    if cols > MINOR_COLS_CAP:
-        raise ValueError(f"cols {cols} exceeds cap {MINOR_COLS_CAP}")
-    if comb(rows, cols) > MINOR_COUNT_CAP:
-        raise ValueError("too many maximal minors for desk scale")
-    g = 0
-    for subset in combinations(range(rows), cols):
-        g = gcd(g, abs(_bareiss([a[i][:] for i in subset])))
-        if g == 1:
-            return 1
+    g = 1
+    for j in range(cols):
+        hit = [r for r in live if r[j]]
+        while len(hit) > 1:
+            piv = min(hit, key=lambda r: abs(r[j]))
+            for r in hit:
+                if r is not piv:
+                    q = r[j] // piv[j]
+                    for k in range(j, cols):
+                        r[k] -= q * piv[k]
+            hit = [r for r in hit if r[j]]
+        if not hit:
+            return 0
+        g *= abs(hit[0][j])
+        live.remove(hit[0])
     return g

@@ -141,11 +141,12 @@ SWEEPS = {"half-conj": sweep_half_conj, "conj-wlp-d456": sweep_conj_wlp_d456,
 
 
 def run_sweep(kind: str, out_path, seed: int = DEFAULT_SEED, **bounds) -> int:
-    """Run a sweep, appending JSON lines to out_path and writing a CSV summary
-    alongside; returns the number of records written. bounds go to the
-    kind's generator (those the sweep command sets are named as its flags),
-    and so does seed if it takes one. ValueError, before either file is
-    opened, for a bound the generator does not take or one over its cap."""
+    """Run a sweep, appending JSON lines to out_path and CSV summary lines
+    alongside, with a header when the CSV is new or empty; returns the
+    number of records written. bounds go to the kind's generator (those the
+    sweep command sets are named as its flags), and so does seed if it
+    takes one. ValueError, before either file is opened, for a bound the
+    generator does not take or one over its cap."""
     generator = SWEEPS[kind]
     takes = inspect.signature(generator).parameters
     unused = [f"--{name.replace('_', '-')}" for name in bounds
@@ -167,9 +168,10 @@ def run_sweep(kind: str, out_path, seed: int = DEFAULT_SEED, **bounds) -> int:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
     csv_path = out_path.with_suffix(".csv")
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+    with csv_path.open("a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["kind", "params", "verdicts", "det", "seed"])
+        if not fh.tell():
+            writer.writerow(["kind", "params", "verdicts", "det", "seed"])
         for rec in records:
             writer.writerow([rec["kind"], json.dumps(rec["params"]),
                              json.dumps(rec.get("verdicts", {})),

@@ -1,8 +1,10 @@
-"""Independent oracles used only by the tests: a cofactor determinant, a
-rank over a field for dense rows with entries in that field, monomial
-divisibility, and the socle of a monomial quotient by its definition."""
+"""Independent oracles used only by the tests: a cofactor determinant, the
+gcd of maximal minors by enumerating them, a rank over a field for dense
+rows with entries in that field, monomial divisibility, and the socle of a
+monomial quotient by its definition."""
 
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from lefschetz.fields import FieldSpec
 from lefschetz.matrices import clear_denominators, mod_rank, rank_int_rows
@@ -22,6 +24,16 @@ def det_cofactor(entries) -> int:
         minor = [row[:j] + row[j + 1:] for row in entries[1:]]
         total += (-1) ** j * entries[0][j] * det_cofactor(minor)
     return total
+
+
+def gcd_of_maximal_minors_brute(rows) -> int:
+    """Gcd of the absolute values of every maximal minor of a small tall
+    matrix, each a cofactor determinant of one choice of rows."""
+    cols = len(rows[0]) if rows else 0
+    g = 0
+    for subset in combinations(rows, cols):
+        g = gcd(g, det_cofactor(list(subset)))
+    return g
 
 
 def rank_rows(rows, ncols: int, field: FieldSpec) -> int:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -163,10 +164,12 @@ def test_sweep_cap_enforced(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("char", ["4", "3037000507"])
+@pytest.mark.parametrize("char", ["4", "3037000507",
+                                  "3317044064679887385961981"])
 def test_sweep_char_checked_as_for_wlp(tmp_path, capsys, char):
-    # both ran or left an empty .jsonl: 4 is not prime, and the prime
-    # 3037000507 is above MAX_MOD_RANK_PRIME, which wlp refuses
+    # the first two ran or left an empty .jsonl: 4 is not prime, and the
+    # prime 3037000507 is above MAX_MOD_RANK_PRIME, which wlp refuses; the
+    # third is past what is_prime decides, and must be named as a --char
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "half-conj", "--max-sum", "3", "--tspan",
               "0", "--char", char, "--out", str(tmp_path / "x.jsonl")])
@@ -207,6 +210,24 @@ def test_run_sweep_stamps_its_seed_and_passes_it_to_injn_only(tmp_path):
     with pytest.raises(ValueError, match="--char"):
         run_sweep("injn", tmp_path / "bad.jsonl", char=(5,))
     assert not (tmp_path / "bad.jsonl").exists()
+
+
+def test_two_sweeps_into_one_out_append_to_both_files(tmp_path, capsys):
+    # the CSV was rewritten: two runs left 24 JSON lines and 13 CSV lines
+    out = tmp_path / "y.jsonl"
+    for seed in ("7", "8"):
+        code, _ = run(capsys, "sweep", "--kind", "injn", "--seed", seed,
+                      "--out", str(out))
+        assert code == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(recs) == 24
+    assert [r["seed"] for r in recs] == [7] * 12 + [8] * 12
+    with out.with_suffix(".csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["kind", "params", "verdicts", "det", "seed"]
+    assert rows[1:] == [[r["kind"], json.dumps(r["params"]),
+                         json.dumps(r["verdicts"]), "", str(r["seed"])]
+                        for r in recs]
 
 
 def test_every_sweep_bound_flag_is_taken_by_some_kind():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from sympy import isprime
 
-from lefschetz.fields import GF, QQ, FieldSpec, is_prime
+from lefschetz.fields import (GF, MILLER_RABIN_BOUND, QQ, FieldSpec,
+                             is_prime)
 
 
 def test_is_prime_small():
@@ -13,6 +15,29 @@ def test_is_prime_small():
 def test_is_prime_large():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 - 1)
+
+
+# psi_12 and psi_13, the least strong pseudoprimes to every prime base up
+# to 37 and up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi_12():
+    # the bases up to 37 alone called it prime, and GF accepted it
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError, match="characteristic"):
+        GF(PSI_12)
+
+
+def test_is_prime_refuses_psi_13():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert PSI_13 == MILLER_RABIN_BOUND
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="proven range"):
+            is_prime(n)
+    assert is_prime(PSI_13 - 2) == isprime(PSI_13 - 2)
 
 
 def test_gf_requires_prime():

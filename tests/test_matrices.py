@@ -131,6 +131,22 @@ def test_factor_large_prime_cofactor():
     assert cofactor == 1
 
 
+def test_factor_leaves_a_pseudoprime_cofactor_unresolved():
+    # psi_12 = 399165290221 * 798330580441 came back as ({psi_12: 1}, 1),
+    # a complete factorization into one prime
+    psi_12 = 318665857834031151167461
+    assert factor(psi_12) == ({}, psi_12)
+    assert factor(-10 * psi_12) == ({2: 1, 5: 1}, psi_12)
+
+
+def test_factor_leaves_a_cofactor_past_is_prime_unresolved():
+    psi_13 = 3317044064679887385961981
+    assert factor(psi_13) == ({}, psi_13)
+    assert factor(12 * psi_13) == ({2: 2, 3: 1}, psi_13)
+    p = 2**89 - 1  # a prime, but past the proven range of is_prime
+    assert factor(7 * p) == ({7: 1}, p)
+
+
 def test_factor_zero_rejected():
     with pytest.raises(ValueError):
         factor(0)

@@ -11,8 +11,12 @@ DIR is a checkout of the revision to compare against (for instance a
   (whose help lost ``--gens`` and ``--vars``, which it never used): exit
   code and stdout;
 - ``verify-paper``: its exit code and stdout;
-- ``witness --r R --json`` for R = 3..6, and
-  ``detm --alpha 3 --beta 3 --gamma 3 --t 7 --json``: exit code and stdout;
+- ``witness --r R --json`` for R = 3..6, and ``detm --json`` at
+  (alpha, beta, gamma, t) = (3, 3, 3, 7), at (7, 7, 7, 11), the largest
+  ``M`` of ``level_aci_grid(21, 4)`` (11 x 11, det
+  95023728564327139576160 = 2^5 5 7^5 17^5 19^6 23^2), and at
+  (2, 9, 13, 9), where det M = 0 and the level conjecture's case is
+  "none": exit code and stdout;
 - ``chain --r R --family F --json`` for R = 3..7 and F = irr, jr (the
   h-vector calculus), ``hilbert --family jr --r 4 --char 0 --char 5 --json``
   and ``wlp --family jr --r 4 --char 0 --char 2 --char 5 --json`` (a
@@ -69,9 +73,10 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
             + [("verify-paper", ["verify-paper"])]
             + [(f"witness --r {r} --json", ["witness", "--r", str(r), "--json"])
                for r in range(3, 7)]
-            + [("detm (3,3,3,7) --json",
-                ["detm", "--alpha", "3", "--beta", "3", "--gamma", "3",
-                 "--t", "7", "--json"])]
+            + [(f"detm ({a},{b},{g},{t}) --json",
+                ["detm", "--alpha", str(a), "--beta", str(b), "--gamma",
+                 str(g), "--t", str(t), "--json"])
+               for a, b, g, t in ((3, 3, 3, 7), (7, 7, 7, 11), (2, 9, 13, 9))]
             + [(f"chain --r {r} --family {fam} --json",
                 ["chain", "--r", str(r), "--family", fam, "--json"])
                for r in range(3, 8) for fam in ("irr", "jr")]
