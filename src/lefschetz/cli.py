@@ -4,8 +4,8 @@ Subcommands: hilbert, wlp, detm, witness, chain, sweep, betti, verify-paper.
 Each subparser names the function that runs it, and each choice is named
 once: the --family table below, the sweep kinds in ``sweeps.SWEEPS``.
 Exit codes: 0 success, 1 mathematical check failure, 2 usage error. A
-flag the chosen family or sweep kind does not take is a usage error, and
-so is any ValueError the library raises for the input.
+flag the chosen family, sweep kind or strategy does not use is a usage
+error, and so is any ValueError the library raises for the input.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .ideals import hilbert_profile, parse_ideal
 from .liaison import bdl_chain
 from .matrices import MAX_MOD_RANK_PRIME
 from .sweeps import SWEEPS, run_sweep
-from .wlp import DEFAULT_SEED, DEFAULT_TRIALS, wlp_check
+from .wlp import (DEFAULT_SEED, _all_ones, _random_forms, candidate_forms,
+                  wlp_check)
 
 # --family name -> (spec class, its flags in field order)
 FAMILIES = {"irkd": (Irkd, ("r", "k", "d")),
@@ -34,6 +35,11 @@ FAMILIES = {"irkd": (Irkd, ("r", "k", "d")),
             "injn": (INJN, ("N",))}
 FAMILY_FLAGS = tuple(dict.fromkeys(
     flag for _, flags in FAMILIES.values() for flag in flags))
+
+# --strategy name -> the forms it tries, of (ideal, field, trials=, seed=)
+STRATEGIES = {"allones": lambda I, f: [_all_ones(I.num_vars, f)],
+              "random": lambda I, f, **kw: _random_forms(I.num_vars, f, **kw),
+              "paper": candidate_forms}
 
 # the sweep flags that set a bound of the chosen kind's generator
 SWEEP_BOUNDS = ("max_sum", "tspan", "max_power", "char")
@@ -65,10 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wlp", help="decide the weak Lefschetz property")
     add_quotient(sp)
-    sp.add_argument("--strategy", choices=("allones", "random", "paper"),
-                    default="paper")
-    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    sp.add_argument("--strategy", choices=STRATEGIES, default="paper")
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=lambda s: int(s, 0))
     sp.set_defaults(run=cmd_quotient, decide=wlp_record)
 
     sp = sub.add_parser("detm", help="determinant criterion report")
@@ -131,7 +136,7 @@ def family_spec(args, parser):
 
 def fields_from_chars(chars, parser):
     """The field of each --char; a usage error unless it is 0 or a prime
-    small enough for the int64 ranks."""
+    with p*p < 2^63 (MAX_MOD_RANK_PRIME)."""
     for ch in chars:
         if ch > MAX_MOD_RANK_PRIME:
             parser.error(f"--char {ch} is outside the supported range: "
@@ -163,8 +168,7 @@ def cmd_quotient(args, parser) -> int:
         parser.error("need --family or --gens/--vars")
     if spec is None and not args.vars:
         parser.error("--gens requires --vars")
-    records = []
-    lines = []
+    records, lines = [], []
     for field, ch in zip(fields, chars):
         I = (make_ideal(spec, field) if spec else
              parse_ideal(args.gens, args.vars.split(","), field))
@@ -182,15 +186,22 @@ def hilbert_record(I, field, args):
 
 
 def wlp_record(I, field, args):
-    strategy = {"paper": "auto"}.get(args.strategy, args.strategy)
-    v = wlp_check(I, field, strategy=strategy, trials=args.trials,
-                  seed=args.seed)
+    """The verdict of --strategy's forms, drawn with --trials and --seed
+    where given; a usage error where no random form is drawn."""
+    draws = {flag: getattr(args, flag) for flag in ("trials", "seed")
+             if getattr(args, flag) is not None}
+    if draws and (args.strategy == "allones"
+                  or args.strategy == "paper" and I.is_monomial):
+        raise ValueError(f"--{' and --'.join(draws)} not used: --strategy "
+                         f"{args.strategy} draws no random form for this ideal")
+    v = wlp_check(I, field, STRATEGIES[args.strategy](I, field, **draws))
     tag = "conclusive" if v.conclusive else "not conclusive"
     verdict = "holds" if v.has_wlp else \
         f"fails at degrees {v.failure_degrees}"
     return ({"has_wlp": v.has_wlp, "conclusive": v.conclusive,
              "failure_degrees": v.failure_degrees,
-             "forms_tried": v.forms_tried, "seed": args.seed},
+             "forms_tried": v.forms_tried,
+             "seed": draws.get("seed", DEFAULT_SEED)},
             f"WLP: {verdict} ({tag})")
 
 

@@ -38,17 +38,19 @@ at least k, and it is at most the rank over Q, k. No prime that lowers the
 rank is hidden: each divides D. The full scan, mult_map_rank and
 kernel_witness neither read nor fill these ranks.
 
-Verdict strategy: for monomial ideals the all-ones form decides the WLP
-(conclusively); otherwise the all-ones form, then recognized special forms,
-then seeded random forms with all coordinates nonzero are tried, each
-distinct form once (over a small field the candidates repeat), and any
-success certifies the WLP. A failing search reports its last distinct form:
-its reports, failure degrees and form_used. Every earlier form stops at its
-first computed degree that is neither injective nor surjective, usually the
-first step with h_d >= h_{d+1}, so its other degrees are never computed.
+Candidate forms: wlp_check tries the given forms in order, each distinct
+form once, and any success certifies the WLP. By default it tries
+candidate_forms, the paper's search: the all-ones form alone for a
+monomial ideal, else the all-ones form, recognized special forms and
+seeded random forms. A failing search reports its last form (reports,
+failure degrees, form_used); each earlier one stops at its first computed
+degree that is not maximal, usually the first step with h_d >= h_{d+1}.
+A failure is conclusive when the forms tried include those of a proof:
+all-ones for a monomial ideal (MMN Prop. 2.2), every recognized special
+form of J_r for r in _PROVEN_SPECIAL_R.
 
 Each function reads one slice engine: NotArtinianError for a non-Artinian
-R/I, ValueError for a form in another number of variables.
+R/I, ValueError for a form not linear or in another number of variables.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _PROVEN_SPECIAL_R = (3, 4)
 
 # how a DegreeReport's rank was obtained
 COMPUTED = "computed"
-INTEGER = "read from the integer rank"  # of a char-0 decision, p not dividing C
+INTEGER = "read from the integer rank"  # of a char-0 decision, p not dividing D
 UP = "propagated up"  # from a surjective step below, Prop. 2.1(a)
 DOWN = "propagated down"  # from an injective step above, Prop. 2.1(b)
 
@@ -169,17 +171,12 @@ def _recognized_special_forms(I: HomogeneousIdeal, field: FieldSpec) -> list:
     """Special forms for the almost-monomial family
     (x_1^r, ..., x_r^r, x_1...x_{r-1}(x_1 + x_r))."""
     r = I.num_vars
-    if len(I.generators) != r + 1:
-        return []
     powers = {tuple(r if j == i else 0 for j in range(r)) for i in range(r)}
-    if set(I.monomial_generators) != powers:
-        return []
     polys = I.polynomial_generators
-    if len(polys) != 1:
-        return []
     e1 = tuple([2] + [1] * (r - 2) + [0])
     e2 = tuple([1] * (r - 1) + [1])
-    if set(polys[0].terms) != {e1, e2}:
+    if (len(I.generators) != r + 1 or set(I.monomial_generators) != powers
+            or len(polys) != 1 or set(polys[0].terms) != {e1, e2}):
         return []
     forms = [linear_form(r, [2] + [1] * (r - 1), field)]
     for t in range(1, 9):
@@ -189,19 +186,20 @@ def _recognized_special_forms(I: HomogeneousIdeal, field: FieldSpec) -> list:
     return forms
 
 
-def _random_forms(r: int, field: FieldSpec, trials: int, seed: int) -> list:
+def _random_forms(r: int, field: FieldSpec, trials=DEFAULT_TRIALS,
+                  seed=DEFAULT_SEED) -> list:
+    """trials forms with every coordinate nonzero, drawn from seed."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
-    forms = []
-    for _ in range(trials):
-        coeffs = []
-        for _ in range(r):
-            while True:
-                c = rng.randint(-_RANDOM_COEFF_RANGE, _RANDOM_COEFF_RANGE)
-                if c and field.reduce(c):
-                    break
-            coeffs.append(c)
-        forms.append(linear_form(r, coeffs, field))
-    return forms
+
+    def coeff():  # nonzero in the field
+        c = 0
+        while not field.reduce(c):
+            c = rng.randint(-_RANDOM_COEFF_RANGE, _RANDOM_COEFF_RANGE)
+        return c
+    return [linear_form(r, [coeff() for _ in range(r)], field)
+            for _ in range(trials)]
 
 
 class _Failing(Exception):
@@ -271,56 +269,48 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
     return WLPVerdict(reports, not failures, failures, L, cache.field, True)
 
 
-def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
-              form: HomogeneousPolynomial | None = None,
-              trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-              full_scan: bool = False) -> WLPVerdict:
-    """Decide the WLP of R/I over the given field.
+def candidate_forms(I: HomogeneousIdeal, field: FieldSpec,
+                    trials=DEFAULT_TRIALS, seed=DEFAULT_SEED) -> list:
+    """The paper's search (the module docstring), each distinct form once.
+    ValueError for trials < 1."""
+    r = I.num_vars
+    if I.is_monomial and trials >= 1:  # else _random_forms refuses trials
+        return [_all_ones(r, field)]
+    return _distinct([_all_ones(r, field)]
+                     + _recognized_special_forms(I, field)
+                     + _random_forms(r, field, trials, seed))
 
-    strategy: "auto" (all-ones, then recognized special forms, then seeded
-    random), "allones", "random", or "explicit" with an explicit form.
-    The verdict is that of the first distinct form that holds, or else of
-    the last one; an earlier form that fails stops at its first failing
-    degree (the module docstring). ValueError for trials < 1, or for a
-    form with any strategy but "explicit".
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if form is not None and strategy != "explicit":
-        raise ValueError("a form is taken only by strategy 'explicit', "
-                         f"not {strategy!r}")
+
+def _distinct(forms) -> list:
+    """The forms in order, each set of terms once."""
+    return list({frozenset(L.terms.items()): L for L in forms}.values())
+
+
+def _require_forms(cache: SliceCache, forms: list):
+    """ValueError unless there is a form, each linear and in the ring."""
+    if not forms:
+        raise ValueError("no candidate form to try")
+    for L in forms:
+        if L.degree != 1:
+            raise ValueError("Lefschetz candidate must be linear")
+        cache.require_same_ring(L)
+
+
+def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
+              full_scan: bool = False) -> WLPVerdict:
+    """Decide the WLP of R/I over the given field by the linear forms in
+    order (the module docstring), candidate_forms(I, field) by default.
+    The verdict is that of the first form that holds, or else of the last
+    one. ValueError unless forms holds a form, each linear and in R."""
     cache = SliceCache(I, field)
+    forms = _distinct(candidate_forms(I, field) if forms is None else forms)
+    _require_forms(cache, forms)
     profile = hilbert_profile(I, field, cache)
     level = socle_report(I, cache).is_level if I.is_monomial else False
-    ones = _all_ones(I.num_vars, field)
     # all-ones ranks over Z shared across characteristics: only a monomial
     # ideal's own maps, and never for the full-scan oracle
     integer = (cache.shared.all_ones if I.is_monomial and not full_scan
                else None)
-
-    special = []
-    if strategy == "explicit":
-        if form is None:
-            raise ValueError("explicit strategy needs a form")
-        if form.degree != 1:
-            raise ValueError("Lefschetz candidate must be linear")
-        cache.require_same_ring(form)
-        forms = [form]
-    elif strategy == "allones" or I.is_monomial:
-        forms = [ones]
-    elif strategy == "random":
-        forms = _random_forms(I.num_vars, field, trials, seed)
-    elif strategy == "auto":
-        special = _recognized_special_forms(I, field)
-        forms = ([ones] + special
-                 + _random_forms(I.num_vars, field, trials, seed))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    distinct = {}
-    for L in forms:  # each form once: over a small field the draws repeat
-        distinct.setdefault(frozenset(L.terms.items()), L)
-    forms = list(distinct.values())
     for n, L in enumerate(forms, 1):
         ranks = integer if _is_all_ones(L, I.num_vars) else None
         try:
@@ -331,26 +321,25 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, strategy: str = "auto",
         verdict.forms_tried = n
         if verdict.has_wlp:
             return verdict
-    # every tried form failed
-    if I.is_monomial and any(_is_all_ones(L, I.num_vars) for L in forms):
-        verdict.conclusive = True  # all-ones decides monomial ideals
-    elif special and I.num_vars in _PROVEN_SPECIAL_R:
-        verdict.conclusive = True  # the family's proof-backed forms all failed
-    else:
-        verdict.conclusive = False
+    # every form failed: conclusive if the forms of a proof add no new one
+    proof = ([_all_ones(I.num_vars, field)] if I.is_monomial  # MMN 2.2
+             else _recognized_special_forms(I, field)
+             if I.num_vars in _PROVEN_SPECIAL_R else [])
+    verdict.conclusive = (bool(proof)
+                          and len(_distinct(forms + proof)) == len(forms))
     return verdict
 
 
 def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
                    form: HomogeneousPolynomial | None = None):
-    """A nonzero degree-d kernel element of multiplication by the all-ones
-    form on (R/I)_d, or None if the map is injective.
+    """A nonzero degree-d kernel element of multiplication by the linear
+    form, all-ones by default, on (R/I)_d, or None if it is injective.
 
     The returned element is re-verified: nonzero modulo the degree-d slice,
     with its image inside the degree-(d+1) slice span."""
     cache = SliceCache(I, field)
     L = form if form is not None else _all_ones(I.num_vars, field)
-    cache.require_same_ring(L)
+    _require_forms(cache, [L])
     cache.require_artinian()
     if not cache.dim(d):
         return None  # (R/I)_d = 0

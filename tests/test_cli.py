@@ -128,6 +128,47 @@ def test_usage_error_trials_below_one(capsys):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "jr", "--r", "4", "--char", "5", "--strategy", "allones",
+     "--seed", "3"],
+    ["--family", "jr", "--r", "4", "--strategy", "allones", "--trials", "2"],
+    ["--family", "irr", "--r", "4", "--seed", "3"],
+    ["--family", "irr", "--r", "4", "--strategy", "paper", "--trials", "2",
+     "--seed", "3"]], ids=["allones-seed", "allones-trials",
+                           "paper-monomial-seed", "paper-monomial-both"])
+def test_usage_error_trials_and_seed_where_nothing_is_drawn(capsys, argv):
+    # these echoed a seed from which no form was drawn
+    with pytest.raises(SystemExit) as exc:
+        main(["wlp", *argv])
+    assert exc.value.code == 2
+    assert "draws no random form" in capsys.readouterr().err
+
+
+def test_random_strategy_draws_on_a_monomial_ideal(capsys):
+    # this tried the all-ones form alone: forms_tried 1, conclusive
+    code, out = run(capsys, "wlp", "--family", "irr", "--r", "4",
+                    "--strategy", "random", "--seed", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "char": 0, "has_wlp": False, "conclusive": False,
+        "failure_degrees": [5], "forms_tried": 5, "seed": 3}
+
+
+def test_paper_strategy_takes_trials_and_seed_where_it_draws(capsys):
+    code, out = run(capsys, "wlp", "--family", "jr", "--r", "4", "--char",
+                    "5", "--trials", "2", "--seed", "9", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "char": 5, "has_wlp": False, "conclusive": True,
+        "failure_degrees": [4, 5], "forms_tried": 8, "seed": 9}
+
+
+def test_default_seed_is_echoed(capsys):
+    code, out = run(capsys, "wlp", "--family", "irr", "--r", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 0xC0C0A
+
+
 def test_usage_error_bad_gens(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--gens", "x^2 +", "--vars", "x,y"])

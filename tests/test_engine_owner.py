@@ -74,9 +74,9 @@ def test_form_in_another_number_of_variables_rejected(num_vars):
     3 has a zero target and degree 4 is zero; (x, y, z) has no map at all."""
     I = parse_ideal("x^2,y^2,z^2", XYZ, QQ)
     form = linear_form(num_vars, [1] * num_vars, QQ)
-    calls = [lambda: wlp_check(I, QQ, strategy="explicit", form=form),
+    calls = [lambda: wlp_check(I, QQ, forms=[form]),
              lambda: wlp_check(parse_ideal("x,y,z", XYZ, QQ), QQ,
-                               strategy="explicit", form=form)]
+                               forms=[form])]
     for d in (1, 3, 4):
         calls += [lambda d=d: kernel_witness(I, QQ, d, form=form),
                   lambda d=d: mult_map_rank(I, form, d, QQ)]

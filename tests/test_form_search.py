@@ -1,21 +1,25 @@
-"""The candidate-form search of wlp_check on non-monomial ideals.
+"""The candidate-form lists of wlp_check, and the paper's search on
+non-monomial ideals.
 
-The forms are tried in order (all-ones, the recognized special forms, the
-seeded random ones), each distinct form once. A form that fails is dropped
-at its first computed degree that is neither injective nor surjective,
-unless it is the last: the verdict of a search is that of its first form
-that holds, or else of its last, with the full report either way. The
-oracle is strategy="explicit", which decides one form with every degree
-it needs computed."""
+The forms are tried in order (by default candidate_forms: all-ones, the
+recognized special forms, the seeded random ones), each distinct form
+once. A form that fails is dropped at its first computed degree that is
+neither injective nor surjective, unless it is the last: the verdict of a
+search is that of its first form that holds, or else of its last, with the
+full report either way. The oracle is a one-form list, which decides its
+form with every degree it needs computed. A failure is conclusive when the
+forms tried include those of a proof."""
 
 import pytest
 
 from lefschetz import wlp
-from lefschetz.families import INJN, Jr, make_ideal
+from lefschetz.families import INJN, Irr, Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import parse_ideal
 from lefschetz.rings import linear_form
-from lefschetz.wlp import DEFAULT_SEED, DEFAULT_TRIALS, wlp_check
+from lefschetz.rings import poly_pow
+from lefschetz.wlp import (DEFAULT_SEED, DEFAULT_TRIALS, candidate_forms,
+                           wlp_check)
 
 IDEALS = {
     "Jr(3)": lambda f: make_ideal(Jr(3), f),
@@ -45,7 +49,8 @@ def field_of(ch):
 
 
 def search_order(I, field) -> list:
-    """The distinct forms of strategy="auto", in the order they are tried."""
+    """The distinct forms of the paper's search on a non-monomial ideal, in
+    the order they are tried."""
     r = I.num_vars
     forms = ([wlp._all_ones(r, field)]
              + wlp._recognized_special_forms(I, field)
@@ -57,7 +62,7 @@ def search_order(I, field) -> list:
 
 
 def explicit(I, field, L):
-    return wlp_check(I, field, strategy="explicit", form=L)
+    return wlp_check(I, field, forms=[L])
 
 
 @pytest.mark.parametrize("name", IDEALS)
@@ -99,20 +104,68 @@ def test_dropped_forms_stop_at_their_first_failing_degree(monkeypatch):
     assert len(set(calls)) == len(calls) == 15
 
 
-@pytest.mark.parametrize("strategy", ["random", "auto", "allones"])
-def test_trials_below_one_is_rejected(strategy):
+@pytest.mark.parametrize("name", IDEALS)
+@pytest.mark.parametrize("ch", CHARS)
+def test_candidate_forms_are_the_search_order(name, ch):
+    field = field_of(ch)
+    I = IDEALS[name](field)
+    assert ([L.terms for L in candidate_forms(I, field)]
+            == [L.terms for L in search_order(I, field)])
+
+
+def test_a_monomial_ideal_is_searched_by_the_all_ones_form_alone():
+    I = make_ideal(Irr(4), QQ)
+    assert candidate_forms(I, QQ) == [wlp._all_ones(4, QQ)]
+
+
+@pytest.mark.parametrize("make", [lambda f: make_ideal(Irr(3), f),
+                                  lambda f: make_ideal(Jr(3), f)],
+                         ids=["monomial", "Jr(3)"])
+def test_trials_below_one_is_rejected(make):
     field = GF(3)
     with pytest.raises(ValueError, match="trials"):
-        wlp_check(make_ideal(Jr(3), field), field, strategy=strategy,
-                  trials=0)
+        candidate_forms(make(field), field, trials=0)
 
 
-@pytest.mark.parametrize("strategy", ["auto", "random", "allones"])
-def test_a_form_with_a_searching_strategy_is_rejected(strategy):
-    # the form was dropped: Jr(4) over GF(5) tried 9 other forms instead
+def test_forms_are_checked_before_any_is_tried():
     field = GF(5)
     I = make_ideal(Jr(4), field)
     L = linear_form(4, [1, 2, 3, 4], field)
-    with pytest.raises(ValueError, match="explicit"):
-        wlp_check(I, field, strategy=strategy, form=L)
-    assert wlp_check(I, field, strategy="explicit", form=L).forms_tried == 1
+    with pytest.raises(ValueError, match="no candidate form"):
+        wlp_check(I, field, forms=[])
+    with pytest.raises(ValueError, match="linear"):
+        wlp_check(I, field, forms=[L, poly_pow(L, 2, field)])
+    with pytest.raises(ValueError, match="in 3 variables"):
+        wlp_check(I, field, forms=[L, linear_form(3, [1, 1, 1], field)])
+    # each distinct form once: the repeats of L are not tried again
+    assert wlp_check(I, field, forms=[L, L, L]).forms_tried == 1
+
+
+def test_random_forms_are_tried_on_a_monomial_ideal():
+    """Irr(4) fails the WLP in char 0 at degree 5. Random forms fail too,
+    but without the all-ones form they prove nothing (MMN Prop. 2.2)."""
+    I = make_ideal(Irr(4), QQ)
+    ones = wlp._all_ones(4, QQ)
+    drawn = wlp._random_forms(4, QQ, 9, 3)
+    v = wlp_check(I, QQ, forms=drawn)
+    assert (v.has_wlp, v.failure_degrees) == (False, [5])
+    assert v.forms_tried == 9 and v.form_used == drawn[-1] != ones
+    assert not v.conclusive
+    assert wlp_check(I, QQ, forms=drawn + [ones]).conclusive
+    assert wlp_check(I, QQ, forms=[ones] + drawn).conclusive
+
+
+def test_jr4_failure_is_conclusive_iff_every_special_form_is_tried():
+    """Over GF(5) the 8 special forms of J_4 are 5 distinct ones. A failure
+    of all 5 proves the WLP fails; 4 of them prove nothing."""
+    field = GF(5)
+    I = make_ideal(Jr(4), field)
+    special = wlp._recognized_special_forms(I, field)
+    keys = list(dict.fromkeys(frozenset(L.terms.items()) for L in special))
+    assert (len(special), len(keys)) == (8, 5)
+    v = wlp_check(I, field, forms=special)
+    assert (v.has_wlp, v.conclusive, v.forms_tried) == (False, True, 5)
+    for key in keys:
+        rest = [L for L in special if frozenset(L.terms.items()) != key]
+        v = wlp_check(I, field, forms=rest)
+        assert (v.has_wlp, v.conclusive, v.forms_tried) == (False, False, 4)

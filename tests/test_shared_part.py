@@ -178,8 +178,8 @@ def _decide(case, field, form):
     too, so that its all-ones ranks show even where they fail."""
     I = case(field)
     if form is None:
-        return wlp_check(I, field, strategy="allones")
-    return wlp_check(I, field, strategy="explicit", form=form)
+        form = linear_form(I.num_vars, [1] * I.num_vars, field)
+    return wlp_check(I, field, forms=[form])
 
 
 @pytest.mark.parametrize("ascending", [True, False])
@@ -217,12 +217,10 @@ def _questions(I, field):
     ones = linear_form(r, [1] * r, field)
     other = linear_form(r, [1] * (r - 1) + [0], field)
     yield "profile", lambda: hilbert_profile(I, field)
-    yield "all-ones", lambda: _as_computed(
-        wlp_check(I, field, strategy="allones"))
-    yield "full scan", lambda: wlp_check(I, field, strategy="allones",
+    yield "all-ones", lambda: _as_computed(wlp_check(I, field, forms=[ones]))
+    yield "full scan", lambda: wlp_check(I, field, forms=[ones],
                                          full_scan=True)
-    yield "other form", lambda: wlp_check(I, field, strategy="explicit",
-                                          form=other)
+    yield "other form", lambda: wlp_check(I, field, forms=[other])
     for name, F in (("all-ones", ones), ("other", other)):
         yield f"mult_map_rank {name}", lambda F=F: [
             mult_map_rank(I, F, d, field) for d in range(

@@ -10,7 +10,8 @@ from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
                               parse_ideal, restrict_modulo_linear)
 from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
                             linear_form, poly_pow)
-from lefschetz.wlp import kernel_witness, mult_map_rank, wlp_check
+from lefschetz.wlp import (candidate_forms, kernel_witness, mult_map_rank,
+                           wlp_check)
 from oracles import rank_rows
 
 XYZ = ["x", "y", "z"]
@@ -77,7 +78,7 @@ def test_explicit_form_strategy():
     f = GF(3)
     I = ideal("x^3,y^3,z^3", f)
     L = linear_form(3, [1, 1, 0], f)  # degenerate choice, not a Lefschetz element
-    v = wlp_check(I, f, strategy="explicit", form=L)
+    v = wlp_check(I, f, forms=[L])
     assert not v.has_wlp
     assert not v.conclusive  # a single bad form proves nothing
 
@@ -93,16 +94,16 @@ def test_jr5_failure_is_not_conclusive():
 def test_explicit_rejects_nonlinear():
     I = ideal("x^2,y^2,z^2")
     with pytest.raises(ValueError):
-        wlp_check(I, QQ, strategy="explicit",
-                  form=poly_pow(all_ones(3, QQ), 2, QQ))
+        wlp_check(I, QQ, forms=[poly_pow(all_ones(3, QQ), 2, QQ)])
 
 
 def test_random_strategy_is_seeded():
     I = ideal("x^3,y^3,z^3,x^2*y+y^2*z")
-    a = wlp_check(I, QQ, strategy="random", seed=7)
-    b = wlp_check(I, QQ, strategy="random", seed=7)
+    a = wlp_check(I, QQ, forms=candidate_forms(I, QQ, seed=7))
+    b = wlp_check(I, QQ, forms=candidate_forms(I, QQ, seed=7))
     assert a.has_wlp == b.has_wlp
     assert a.form_used == b.form_used
+    assert candidate_forms(I, QQ, seed=7) != candidate_forms(I, QQ, seed=8)
 
 
 def test_full_scan_agrees_with_propagation():
@@ -126,6 +127,16 @@ def test_kernel_witness_char_p_powers():
 def test_kernel_witness_none_when_injective():
     I = ideal("x^2,y^2,z^2")
     assert kernel_witness(I, QQ, 1) is None
+
+
+def test_kernel_witness_rejects_a_form_that_is_not_linear():
+    # x * x^2 is injective on (R/I)_1 (rank 3 = h_1); the witness check
+    # projects the image onto degree 2, so it cannot catch a wrong witness
+    I = ideal("x^5,y^5,z^5")
+    x2 = HomogeneousPolynomial.from_terms(3, {(2, 0, 0): 1}, degree=2)
+    assert mult_map_rank(I, x2, 1, QQ) == {"h_d": 3, "h_de": 10, "rank": 3}
+    with pytest.raises(ValueError, match="linear"):
+        kernel_witness(I, QQ, 1, form=x2)
 
 
 def test_kernel_witness_char_zero_failure():

@@ -38,6 +38,10 @@ DIR is a checkout of the revision to compare against (for instance a
   (long failing searches, each reported from its last distinct form while
   the earlier forms stop at their first failing degree): exit code and
   stdout;
+- ``wlp --family jr --r 4 --char 0 --char 5 --strategy allones --json``
+  and ``wlp --family jr --r 3 --char 3 --char 7 --strategy paper --trials
+  2 --seed 9 --json`` (the forms each strategy maps to, with the flags it
+  takes): exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -112,7 +116,15 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                  "--char", "5", "--char", "7", "--json"]),
                ("wlp Jr(4) char 5 --strategy random --trials 8 --json",
                 ["wlp", "--family", "jr", "--r", "4", "--char", "5",
-                 "--strategy", "random", "--trials", "8", "--json"])])
+                 "--strategy", "random", "--trials", "8", "--json"]),
+               ("wlp Jr(4) chars 0, 5 --strategy allones --json",
+                ["wlp", "--family", "jr", "--r", "4", "--char", "0",
+                 "--char", "5", "--strategy", "allones", "--json"]),
+               ("wlp Jr(3) chars 3, 7 --strategy paper --trials 2 --seed 9"
+                " --json",
+                ["wlp", "--family", "jr", "--r", "3", "--char", "3",
+                 "--char", "7", "--strategy", "paper", "--trials", "2",
+                 "--seed", "9", "--json"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
