@@ -199,8 +199,7 @@ def wlp_record(I, field, args):
     verdict = "holds" if v.has_wlp else \
         f"fails at degrees {v.failure_degrees}"
     return ({"has_wlp": v.has_wlp, "conclusive": v.conclusive,
-             "failure_degrees": v.failure_degrees,
-             "forms_tried": v.forms_tried,
+             "failure_degrees": v.failure_degrees, "forms_tried": v.forms_tried,
              "seed": draws.get("seed", DEFAULT_SEED)},
             f"WLP: {verdict} ({tag})")
 

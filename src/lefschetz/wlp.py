@@ -303,7 +303,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
     The verdict is that of the first form that holds, or else of the last
     one. ValueError unless forms holds a form, each linear and in R."""
     cache = SliceCache(I, field)
-    forms = _distinct(candidate_forms(I, field) if forms is None else forms)
+    forms = candidate_forms(I, field) if forms is None else _distinct(forms)
     _require_forms(cache, forms)
     profile = hilbert_profile(I, field, cache)
     level = socle_report(I, cache).is_level if I.is_monomial else False
@@ -321,12 +321,13 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
         verdict.forms_tried = n
         if verdict.has_wlp:
             return verdict
-    # every form failed: conclusive if the forms of a proof add no new one
-    proof = ([_all_ones(I.num_vars, field)] if I.is_monomial  # MMN 2.2
-             else _recognized_special_forms(I, field)
-             if I.num_vars in _PROVEN_SPECIAL_R else [])
-    verdict.conclusive = (bool(proof)
-                          and len(_distinct(forms + proof)) == len(forms))
+    # every form failed: conclusive if they include the forms of a proof
+    if I.is_monomial:  # all-ones decides the WLP (MMN Prop. 2.2)
+        verdict.conclusive = any(_is_all_ones(L, I.num_vars) for L in forms)
+    else:  # every special form of J_r, r proven: if tried, none is new
+        special = _recognized_special_forms(I, field)
+        verdict.conclusive = (I.num_vars in _PROVEN_SPECIAL_R and bool(special)
+                              and len(_distinct(forms + special)) == len(forms))
     return verdict
 
 
