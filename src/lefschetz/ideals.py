@@ -19,11 +19,10 @@ characteristics, or two ideals with an equal monomial part, enumerate their
 monomials once, and a monomial ideal builds no echelon for its Hilbert
 profile. The part also keeps the rows F*m of the all-ones form F in each
 degree, whose entries are 1 in every field, for every ideal with that
-monomial part; and a monomial ideal's all-ones map ranks over Z, each with
-a nonzero minor of its rows of size the rank, which answer the rank in
-every characteristic that does not divide it. The engine also owns the
-Hilbert profile (a ``HilbertProfile``, the one type for Hilbert functions
-and h-vectors) and the Artinian test.
+monomial part; and the unit split over Z of a monomial ideal's all-ones
+maps, which answers each map's rank in every characteristic. The engine
+also owns the Hilbert profile (a ``HilbertProfile``, the one type for
+Hilbert functions and h-vectors) and the Artinian test.
 """
 
 from __future__ import annotations
@@ -173,17 +172,19 @@ class MonomialPart:
     ``ones_rows`` maps a degree d to the rows F*m of the all-ones form F,
     for m in std(d)[::-1], on the standard monomials of degree d + 1: the
     same 0/1 rows in every field and for every ideal with this monomial
-    part. ``wlp._map_rank`` fills and reads it.
+    part. ``wlp._rows`` fills and reads it.
 
-    ``all_ones`` maps a degree d to (rank over Q, lead product) of the
-    all-ones map A_d -> A_{d+1} of the monomial ideal itself, as eliminated
-    over Z with an empty slice echelon. The lead product is +-det of the
-    rows that raised the rank on their lead columns, so it gives the rank
-    over F_p for every p that does not divide it (the lemma of
-    ``matrices``). Only a char-0 ``wlp_check`` of the monomial ideal fills
-    it, and only char-p decisions of that ideal with the all-ones form read
+    ``all_ones`` maps a degree d to (k, core, rank over Q of the core,
+    D') for the all-ones map A_d -> A_{d+1} of the monomial ideal itself:
+    its rows split over Z into k pivots with lead +-1 and the core rows
+    (``matrices.unit_split``), so that its rank in every field is k plus
+    the core's, and D' is the lead product of the core's echelon over Z,
+    which gives the core's rank over F_p for every p that does not divide
+    it (the lemmas of ``matrices``). The first ``wlp_check`` of the
+    monomial ideal that needs degree d fills it, in any characteristic,
+    and every later decision of that ideal with the all-ones form reads
     it; an ideal with other generators shares the part but not these
-    ranks."""
+    splits."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -201,7 +202,7 @@ class MonomialPart:
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
         self.ones_rows: dict[int, tuple] = {}
-        self.all_ones: dict[int, tuple[int, int]] = {}
+        self.all_ones: dict[int, tuple] = {}
 
     def std(self, d: int) -> tuple:
         s = self._std.get(d)
@@ -318,7 +319,7 @@ class SliceCache:
         an empty row (every term of g*m lies in the monomial part), and so
         do many standard ones in high degrees; neither is kept.
 
-        The order is the one _map_rank states for its rows: m ascending in
+        The order is the one wlp._rows states for its rows: m ascending in
         canonical order, so that the lead LM(g)*m of a row, when standard,
         meets no earlier row of g, and most rows become pivots without an
         update."""

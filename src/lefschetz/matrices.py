@@ -12,7 +12,7 @@ exact. Determinants and minor gcds take a matrix as a list of int rows.
 
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
-insertion order sets the fill (``wlp._map_rank`` states its order, and
+insertion order sets the fill (``wlp._rows`` states its order, and
 ``ideals.SliceCache.slice_rows`` takes the same). The kernel mutates
 neither a row it is given nor a stored pivot.
 
@@ -44,6 +44,25 @@ R = A, J is every column, and det A = sign(l) D for l the permutation of
 lead columns in row order: sorting the remainders by lead column makes
 them upper triangular with the leads on the diagonal.
 
+Unit split (``unit_split``). Reduce integer rows A over Z in order, each
+against the pivots stored so far, keeping a remainder as a pivot only when
+its lead entry is +-1 (negated to +1); every other nonzero remainder is set
+aside in the core. At the end each core row is cleared of the pivot
+columns, in ascending column order: a pivot is zero left of its lead, so
+clearing column j leaves the columns before it as they were.
+
+Lemma. With P the k pivots and C' the cleared core, rank_F(A) = k +
+rank_F(C') in every field F, Q and each F_p alike.
+
+Proof. Each step subtracts an integer multiple of a pivot from a row, or
+negates a row: invertible over Z, so U A = [P; C'; 0] for a U with det
++-1, invertible mod every p too, and A and U A have the same rank over F.
+On the lead columns J of P, P is unit upper triangular once sorted by
+lead, and C' is zero. So a combination x P + y C' = 0 has x = 0 (read on
+J), and then y C' = 0: the rows of P and C' are independent in F exactly
+when those of C' are. Since rank_F(C') may still drop mod p after C' has
+full rank over Q, the split stops early only when k = ncols.
+
 Minor gcds (``gcd_of_maximal_minors``). Subtracting a multiple of one row
 from another is a unimodular U, and the maximal minors of U A are integer
 combinations of those of A (Cauchy-Binet), and conversely through U^-1, so
@@ -57,6 +76,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from copy import copy
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm, prod
 
 from .fields import MILLER_RABIN_BOUND, is_prime
@@ -241,6 +261,46 @@ class IntRowEchelon:
                 for k, v in piv:
                     c[k - n] = v
                 yield c
+
+
+def unit_split(rows, ncols: int) -> tuple[int, list]:
+    """(k, core) for integer rows, by the module's unit split: k pivots
+    with lead +-1 and the core rows, as {column: entry} dicts zero on the
+    pivots' lead columns. In every field the rows have rank k plus that of
+    the core."""
+    pivots: dict[int, list] = {}
+    core = []
+    for row in rows:
+        if len(pivots) == ncols:
+            break  # the core then clears to zero
+        rem = _reduce(_sparse(row, 0), pivots, 0)
+        if not rem:
+            continue
+        piv = sorted(rem.items())
+        lead = piv[0][1]
+        if lead == 1:
+            pivots[piv[0][0]] = piv
+        elif lead == -1:
+            pivots[piv[0][0]] = [(k, -v) for k, v in piv]
+        else:
+            core.append(rem)
+    for rem in core:
+        todo = [j for j in rem if j in pivots]
+        heapify(todo)
+        while todo:
+            j = heappop(todo)
+            c = rem.get(j)
+            if not c:
+                continue  # cancelled since it was pushed
+            for k, v in pivots[j]:
+                x = rem.get(k, 0) - c * v
+                if not x:
+                    del rem[k]
+                    continue
+                if k not in rem and k in pivots:
+                    heappush(todo, k)
+                rem[k] = x
+    return len(pivots), [rem for rem in core if rem]
 
 
 def rank_int_rows(rows, ncols: int) -> int:

@@ -24,19 +24,20 @@ them. DegreeReport.path says which of the three gave a degree its rank,
 or that a computed rank was read from an integer one (below).
 
 Work shared across characteristics. The all-ones form's rows F*m are the
-same 0/1 rows in every field, so _map_rank builds them once per degree and
+same 0/1 rows in every field, so _rows builds them once per degree and
 keeps them in the MonomialPart of I, for every ideal with that monomial
 part; every other form builds its own. For a monomial ideal the Hilbert
 function counts the part's standard monomials, and its all-ones map is that
-0/1 matrix. A char-0 decision eliminates each map it computes over Z, and
-keeps its rank and lead product D in the part: D = +-det(R_J), R the rows
-that raised the rank and J their lead columns (the lemma of ``matrices``).
-A char-p decision of that ideal reads the rank of a map with an entry when
-p does not divide D, and computes it mod p otherwise. The read rank is the
-rank over F_p: R_J is a k x k minor nonzero mod p, so the rank over F_p is
-at least k, and it is at most the rank over Q, k. No prime that lowers the
-rank is hidden: each divides D. The full scan, mult_map_rank and
-kernel_witness neither read nor fill these ranks.
+0/1 matrix. The first decision of such an ideal that needs a degree, in
+any characteristic, splits the map over Z once (``matrices.unit_split``):
+k pivots with lead +-1 and a small core C', with rank_F = k + rank_F(C') in
+every field F. One echelon over Z of the core gives rank_Q(C') and its
+lead product D' (the lemma of ``matrices``), and the part keeps the four.
+Every later decision of that ideal, char 0 or p, reads the map's rank from
+them: k + rank_Q(C') when p does not divide D', which is then the rank
+over F_p, and otherwise k plus the rank of C' eliminated mod p. No prime
+that lowers the rank is hidden: each divides D'. The full scan,
+mult_map_rank and kernel_witness neither read nor fill these splits.
 
 Candidate forms: wlp_check tries the given forms in order, each distinct
 form once, and any success certifies the WLP. By default it tries
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from .fields import FieldSpec
 from .ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
                      slice_engine, socle_report)
-from .matrices import IntRowEchelon, clear_denominators
+from .matrices import IntRowEchelon, clear_denominators, unit_split
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
 DEFAULT_SEED = 0xC0C0A
@@ -74,7 +75,7 @@ _PROVEN_SPECIAL_R = (3, 4)
 
 # how a DegreeReport's rank was obtained
 COMPUTED = "computed"
-INTEGER = "read from the integer rank"  # of a char-0 decision, p not dividing D
+INTEGER = "read from the integer rank"  # of an earlier decision's split
 UP = "propagated up"  # from a surjective step below, Prop. 2.1(a)
 DOWN = "propagated down"  # from an injective step above, Prop. 2.1(b)
 
@@ -119,42 +120,65 @@ def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
     cache.require_artinian()
     de = d + F.degree
     h_d, h_de = cache.dim(d), cache.dim(de)
-    rank = _map_rank(cache, F, d, de)[0] if h_d and h_de else 0
+    rank = _map_rank(cache, F, d, de) if h_d and h_de else 0
     return {"h_d": h_d, "h_de": h_de, "rank": rank}
 
 
 def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
-              de: int) -> tuple[int, IntRowEchelon]:
+              de: int) -> int:
     """Rank of x F : (R/I)_d -> (R/I)_de, what the rows F*m, m in std(d),
-    add to the rank of the degree-de slice, and the echelon that reached
-    it. Over Z its lead_product includes the slice's rows, none for a
-    monomial ideal.
+    add to the rank of the degree-de slice.
 
     A copy of the cached echelon of the degree-de slice (left unchanged),
     or a new empty echelon for a monomial ideal, whose slice rows are
-    empty, takes the sparse rows F*m, inserted for m in ascending canonical
-    order, std(d)[::-1], until it reaches full rank. A row pivots on its
-    leading monomial, LM(F)*m when that is standard, and every monomial of
-    the rows F*m' before it is below LM(F)*m, because m' < m. So most rows
+    empty, takes the rows of _rows until it reaches full rank."""
+    if cache.poly_gens:
+        ech = cache.echelon(de).copy()
+    else:
+        ech = IntRowEchelon(len(cache.std(de)), cache.field.characteristic)
+    slice_rank = ech.rank
+    return ech.extend(_rows(cache, F, d, de)) - slice_rank
+
+
+def _rows(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int):
+    """The sparse rows F*m on the degree-de standard monomials, for m in
+    ascending canonical order, std(d)[::-1]. A row pivots on its leading
+    monomial, LM(F)*m when that is standard, and every monomial of the
+    rows F*m' before it is below LM(F)*m, because m' < m. So most rows
     meet no earlier row in their lead column and become pivots without an
     update.
 
     The all-ones form's rows are the part's ones_rows, built on first use
     in any field: their entries are 1, and the kernel never mutates a row."""
     monomials = cache.std(d)[::-1]
-    if _is_all_ones(F, cache.I.num_vars):
-        shared = cache.shared.ones_rows
-        rows = shared.get(d)
-        if rows is None:
-            rows = shared[d] = tuple(cache.multiple_rows(F, monomials, de))
-    else:
-        rows = cache.multiple_rows(F, monomials, de)
-    if cache.poly_gens:
-        ech = cache.echelon(de).copy()
-    else:
-        ech = IntRowEchelon(len(cache.std(de)), cache.field.characteristic)
-    slice_rank = ech.rank
-    return ech.extend(rows) - slice_rank, ech
+    if not _is_all_ones(F, cache.I.num_vars):
+        return cache.multiple_rows(F, monomials, de)
+    shared = cache.shared.ones_rows
+    rows = shared.get(d)
+    if rows is None:
+        rows = shared[d] = tuple(cache.multiple_rows(F, monomials, de))
+    return rows
+
+
+def _split_map(cache: SliceCache, L: HomogeneousPolynomial, d: int) -> tuple:
+    """The all_ones entry of a monomial ideal's all-ones map x L : A_d ->
+    A_{d+1}: (k, core, rank over Q of the core, D'), from the unit split
+    of its rows over Z and one echelon over Z of the core, whose
+    lead_product is D'."""
+    ncols = len(cache.std(d + 1))
+    k, core = unit_split(_rows(cache, L, d, d + 1), ncols)
+    ech = IntRowEchelon(ncols)
+    return k, tuple(core), ech.extend(core), ech.lead_product
+
+
+def _split_rank(entry: tuple, p: int, ncols: int) -> int:
+    """The rank over a field of characteristic p of the map of an all_ones
+    entry: k plus the core's rank, read when p does not divide D' (p = 0
+    included), else the core eliminated mod p."""
+    k, core, rank, lead = entry
+    if p and not lead % p:
+        rank = IntRowEchelon(ncols, p).extend(core)
+    return k + rank
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
@@ -217,9 +241,9 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
     once.
 
     integer is the MonomialPart's all_ones memo when L is the all-ones
-    form of a monomial ideal, else None: char 0 fills it with each map it
-    computes, char p reads a map's rank from it when p does not divide the
-    entry's lead product, a minor of the map (the module docstring).
+    form of a monomial ideal, else None: a degree with no entry is split
+    and filled, one with an entry is read (the module docstring), in any
+    characteristic.
 
     full_scan is the oracle the propagation is tested against: it scans
     up from degree 0 and reads nothing down.
@@ -235,16 +259,18 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
 
     def rank(d):
         if d not in ranks:  # h_d > 0 for d <= D; no map to a zero space
-            entry = integer.get(d) if p and integer else None
             if not h[d + 1]:
                 ranks[d] = 0
-            elif entry and entry[1] % p:
-                ranks[d] = entry[0]
-                read.add(d)
+            elif integer is None:
+                ranks[d] = _map_rank(cache, L, d, d + 1)
             else:
-                ranks[d], ech = _map_rank(cache, L, d, d + 1)
-                if integer is not None and not p:
-                    integer[d] = ranks[d], ech.lead_product
+                entry = integer.get(d)
+                if entry is None:
+                    entry = integer[d] = _split_map(cache, L, d)
+                else:
+                    read.add(d)
+                # a monomial ideal's h_{d+1} counts the map's columns
+                ranks[d] = _split_rank(entry, p, h[d + 1])
             if not last and ranks[d] < min(h[d], h[d + 1]):
                 raise _Failing
         return ranks[d]
@@ -307,7 +333,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
     _require_forms(cache, forms)
     profile = hilbert_profile(I, field, cache)
     level = socle_report(I, cache).is_level if I.is_monomial else False
-    # all-ones ranks over Z shared across characteristics: only a monomial
+    # all-ones splits over Z shared across characteristics: only a monomial
     # ideal's own maps, and never for the full-scan oracle
     integer = (cache.shared.all_ones if I.is_monomial and not full_scan
                else None)

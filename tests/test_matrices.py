@@ -1,12 +1,16 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz.fields import GF, QQ
 from lefschetz.matrices import (MAX_MOD_RANK_PRIME, IntRowEchelon,
                                 clear_denominators, det_integer, factor,
-                                gcd_of_maximal_minors, mod_rank, rank_int_rows)
+                                gcd_of_maximal_minors, mod_rank, rank_int_rows,
+                                unit_split)
 from oracles import det_cofactor, rank_rows
 
 
@@ -175,3 +179,47 @@ def test_int_rows_reject_fractions():
         det_integer([[Fraction(1, 2)]])
     with pytest.raises(ValueError, match="not an integer"):
         gcd_of_maximal_minors([[3], [Fraction(1, 2)]])
+
+
+SPLIT_PRIMES = (2, 3, 5, 7, 11, 13, 2**31 - 1)
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, ncols): rows of 0, +-1 and small entries, with zero rows and
+    repeated rows among them, each dense or a {column: entry} dict."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, 1, -1, 2, -2, 3, 4, -6, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=8))
+    rows += [[0] * ncols] * draw(st.integers(0, 1))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = draw(st.permutations(rows))
+    return [{j: a for j, a in enumerate(row) if a} if draw(st.booleans())
+            else row for row in rows], ncols
+
+
+@given(integer_rows())
+@settings(max_examples=300, deadline=None)
+def test_unit_split_gives_the_rank_in_every_field(case):
+    """k plus the core's rank is the rank over Q and over each F_p, and
+    the given rows are left unchanged."""
+    rows, ncols = case
+    before = deepcopy(rows)
+    k, core = unit_split(rows, ncols)
+    assert rows == before
+    assert k + rank_int_rows(core, ncols) == rank_int_rows(rows, ncols)
+    for p in SPLIT_PRIMES:
+        assert k + mod_rank(core, ncols, p) == mod_rank(rows, ncols, p), p
+
+
+def test_unit_split_clears_the_pivot_columns_from_the_core():
+    """P = [0 1] is a pivot and C = [2 1], of lead 2, goes to the core.
+    Over GF(2) both rows are [0 1], of rank 1; the core left uncleared,
+    [2 1] = [0 1] mod 2, would add 1."""
+    rows = [[0, 1], [2, 1]]
+    k, core = unit_split(rows, 2)
+    assert (k, core) == (1, [{0: 2}])
+    assert k + mod_rank(core, 2, 2) == mod_rank(rows, 2, 2) == 1
+    assert k + rank_int_rows(core, 2) == 2

@@ -4,10 +4,12 @@ verdict must equal the full scan (every degree up to the first surjective
 step computed) in rank, injectivity and surjectivity per degree, failure
 degrees and verdict, and must compute each map at most once.
 
-A char-0 decision of a monomial ideal keeps its all-ones map ranks in the
-process-wide monomial_part memo, and a later char-p decision may read them
+A decision of a monomial ideal, in any characteristic, keeps the unit
+split over Z of each all-ones map it computes in the process-wide
+monomial_part memo, and every later decision of that ideal reads it
 instead of computing (path INTEGER). So every test that counts the maps a
-decision computes clears the memo first."""
+decision computes clears the memo first, unless it counts the splits of a
+whole pass."""
 
 from itertools import product
 
@@ -34,16 +36,20 @@ def field_of(ch):
 
 
 def count_maps(monkeypatch) -> list:
-    """Record (form, d) for every map rank wlp_check computes. A caller
-    clears the monomial_part memo before each counted decision."""
+    """Record (form, d) for every map rank wlp_check computes: by an
+    elimination in the decision's field (_map_rank), or by the unit split
+    of a monomial ideal's all-ones map (_split_map). A caller clears the
+    monomial_part memo before each counted decision."""
     calls = []
-    rank = wlp._map_rank
 
-    def counted(cache, F, d, de):
-        calls.append((frozenset(F.terms.items()), d))
-        return rank(cache, F, d, de)
+    def counting(compute):
+        def counted(cache, F, d, *de):
+            calls.append((frozenset(F.terms.items()), d))
+            return compute(cache, F, d, *de)
+        return counted
 
-    monkeypatch.setattr(wlp, "_map_rank", counted)
+    for name in ("_map_rank", "_split_map"):
+        monkeypatch.setattr(wlp, name, counting(getattr(wlp, name)))
     return calls
 
 
@@ -176,12 +182,11 @@ def test_map_counts(spec, ch, maps, monkeypatch):
 
 def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
     """After a grid point's char-0 decision, a char-p decision where the
-    WLP holds computes no map, and reports its plateau (h_d = h_{d+1})
-    under INTEGER: the memo's lead product for that square map is +-its
-    determinant, which p does not divide when the WLP holds. Every verdict
-    equals the full scan."""
+    WLP holds computes no map, whether or not p divides D' (the lead
+    product of the plateau map's core), and reports its plateau
+    (h_d = h_{d+1}) under INTEGER. Every verdict equals the full scan."""
     calls = count_maps(monkeypatch)
-    paths = {True: [], False: []}  # by whether p divides the lead product
+    paths = {True: [], False: []}  # by whether p divides D'
     for point in level_aci_grid(9, 3):
         monomial_part.cache_clear()
         I = make_ideal(LevelAci(*point), QQ)
@@ -194,10 +199,31 @@ def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
             verdict = wlp_check(I, field)
             if verdict.has_wlp:
                 [plateau] = [r for r in verdict.reports if r.h_d == r.h_d1]
-                divides = integer[plateau.d][1] % ch == 0
-                assert len(calls) == divides
+                divides = integer[plateau.d][3] % ch == 0
+                assert not calls
                 paths[divides].append(plateau.path)
             assert_paths_honest(assert_matches_full_scan(I, field, verdict))
     assert set(paths[False]) == {INTEGER}
-    # 104 char-p decisions hold; none computes its plateau map
+    # 104 char-p decisions hold; p divides no D' of their plateau maps,
+    # which is +-det of a nonsingular map
     assert (len(paths[False]), len(paths[True])) == (104, 0)
+
+
+@pytest.mark.parametrize("chars", [LEVEL_CHARS, LEVEL_CHARS[::-1]])
+def test_level_chars_pass_splits_each_map_once(chars, monkeypatch):
+    """The 266 decisions of the benchmark's level-chars grid, each point
+    decided in its seven characteristics in turn, make 156 unit splits,
+    one per distinct all-ones map, and no other map rank: each later
+    characteristic reads the split (eliminating the maps again in each
+    field took 373 eliminations, 54 over Z and 319 mod p)."""
+    calls = count_maps(monkeypatch)
+    monomial_part.cache_clear()
+    maps = 0
+    for point in level_aci_grid(9, 3):
+        calls.clear()
+        for ch in chars:
+            field = field_of(ch)
+            wlp_check(make_ideal(LevelAci(*point), field), field)
+        assert len(set(calls)) == len(calls)
+        maps += len(calls)
+    assert maps == 156

@@ -2,8 +2,8 @@
 column index and the socle) is shared
 between characteristics and between equal monomial parts through the
 ideals.monomial_part memo, and so are the all-ones rows F*m of each degree
-and a monomial ideal's all-ones map ranks over Z, which char-p decisions
-read. Every answer given through the shared memo must be the one a cleared
+and the unit splits over Z of a monomial ideal's all-ones maps, which every
+later decision of that ideal reads, in any characteristic. Every answer given through the shared memo must be the one a cleared
 memo gives; only a rank's path may say it was read from the integer rank
 where the cleared memo computed it."""
 
@@ -122,8 +122,10 @@ def test_shared_data_cannot_be_changed():
     socle_report(I).socle_monomials.clear()  # likewise
     assert SliceCache(I, QQ).std(4) == std == tuple(standard_monomials(I, 4))
     assert socle_report(I).cm_type > 0
-    assert wlp_check(I, QQ) == wlp_check(make_ideal(LevelAci(2, 3, 4, 5), QQ),
-                                         QQ)
+    first = wlp_check(I, QQ)
+    second = wlp_check(make_ideal(LevelAci(2, 3, 4, 5), QQ), QQ)
+    assert _as_computed(second) == _as_computed(first)
+    assert INTEGER in {r.path for r in second.reports}
 
 
 @pytest.mark.parametrize("spec, first, second",
@@ -184,14 +186,15 @@ def _decide(case, field, form):
 
 @pytest.mark.parametrize("ascending", [True, False])
 def test_integer_ranks_give_the_answers_of_a_cleared_memo(ascending):
-    """Char-p decisions that read the char-0 all-ones ranks answer as with
-    a cleared memo, with the characteristics decided 0 first or 0 last;
-    among them a char-0 decision by another form, and J_4, whose monomial
-    part is a monomial ideal decided before it."""
+    """Decisions that read the all-ones splits of an earlier decision, in
+    any characteristic, answer as with a cleared memo, with the
+    characteristics decided 0 first or 0 last; among them a char-0
+    decision by another form, and J_4, whose monomial part is a monomial
+    ideal decided before it."""
     monomial_part.cache_clear()
     shared = [_decide(*step) for step in _decisions(ascending)]
     read = [r for v in shared for r in v.reports if r.path == INTEGER]
-    assert bool(read) == ascending
+    assert read
     for step, got in zip(_decisions(ascending), shared):
         monomial_part.cache_clear()
         assert _as_computed(got) == _decide(*step), step[1:]

@@ -27,7 +27,9 @@ DIR is a checkout of the revision to compare against (for instance a
   p, then read in char 0): exit code and stdout;
 - ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
   --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
-  and 5 (level ideals whose failures span several degrees), the
+  and 5 (level ideals whose failures span several degrees) and in 5, 2
+  and 0 (its all-ones maps, with cores of dozens of rows, split in char
+  p first and read in char 0), the
   non-level ``--gens x^5,y^5,z^2,x*y^4,y^2*z,x*z --vars x,y,z`` in 0 and
   2, and ``--family levelaci --alpha 3 --beta 3 --gamma 3 --t 7`` in 2,
   11, 0, 3 and 5 (det M = 2^3 3^4 11^2: in one process, characteristics
@@ -103,6 +105,9 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                ("wlp Irr(5) chars 0, 2, 5 --json",
                 ["wlp", "--family", "irr", "--r", "5", "--char", "0",
                  "--char", "2", "--char", "5", "--json"]),
+               ("wlp Irr(5) chars 5, 2, 0 --json",
+                ["wlp", "--family", "irr", "--r", "5", "--char", "5",
+                 "--char", "2", "--char", "0", "--json"]),
                ("wlp non-level (x^5,y^5,z^2,x*y^4,y^2*z,x*z) chars 0, 2 --json",
                 ["wlp", "--gens", "x^5,y^5,z^2,x*y^4,y^2*z,x*z", "--vars",
                  "x,y,z", "--char", "0", "--char", "2", "--json"]),
