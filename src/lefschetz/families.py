@@ -1,6 +1,6 @@
-"""Constructors and structural metadata for the studied ideal families, plus
-the arithmetic predicates (semistability, mod-3 obstruction, conjecture cases)
-and graded Betti tables.
+"""Constructors for the studied ideal families, plus the arithmetic
+predicates (semistability, mod-3 obstruction, conjecture cases) and graded
+Betti tables.
 """
 
 from __future__ import annotations
@@ -185,39 +185,6 @@ def general_form(num_vars: int, degree: int, field: FieldSpec, seed: int):
                 break
         terms[e] = field.reduce(c)
     return HomogeneousPolynomial(num_vars, degree, terms)
-
-
-@dataclass
-class Aci3Metadata:
-    inverse_system: list  # exponent tuples of the dual generators
-    cm_type: int
-    socle_degrees: list
-    is_level: bool
-    residual_ideal: tuple  # residual complete-intersection degrees (x, y, z powers)
-
-
-def aci3_metadata(spec: Aci3) -> Aci3Metadata:
-    """Inverse system, socle data, and residual ideal of the codim-3 family,
-    with the convention that a dual generator with a -1 exponent is removed."""
-    spec.validate()
-    a, b, c = spec.a, spec.b, spec.c
-    al, be, ga = spec.alpha, spec.beta, spec.gamma
-    candidates = [(a - 1, b - 1, ga - 1), (a - 1, be - 1, c - 1),
-                  (al - 1, b - 1, c - 1)]
-    inverse_system = []
-    socle_degrees = []
-    for expo in candidates:
-        if min(expo) < 0:
-            continue
-        inverse_system.append(expo)
-        socle_degrees.append(sum(expo))
-    return Aci3Metadata(
-        inverse_system=inverse_system,
-        cm_type=len(inverse_system),
-        socle_degrees=sorted(socle_degrees),
-        is_level=len(set(socle_degrees)) == 1,
-        residual_ideal=(a - al, b - be, c - ga),
-    )
 
 
 def aci3_mod3_obstruction(spec: Aci3) -> bool:

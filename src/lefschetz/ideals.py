@@ -20,9 +20,11 @@ monomials once, and a monomial ideal builds no echelon for its Hilbert
 profile. The part also keeps the rows F*m of the all-ones form F in each
 degree, whose entries are 1 in every field, for every ideal with that
 monomial part; and the unit split over Z of a monomial ideal's all-ones
-maps, which answers each map's rank in every characteristic. The engine
-also owns the Hilbert profile (a ``HilbertProfile``, the one type for
-Hilbert functions and h-vectors) and the Artinian test.
+maps, which answers each map's rank in every characteristic; and the
+monomial ideal's Hilbert profile (a ``HilbertProfile``, the one type for
+Hilbert functions and h-vectors) and level flag, which a decision in a
+further characteristic reads. The engine decides the Artinian test, and
+owns the Hilbert profile of an ideal with polynomial generators.
 """
 
 from __future__ import annotations
@@ -184,7 +186,15 @@ class MonomialPart:
     monomial ideal that needs degree d fills it, in any characteristic,
     and every later decision of that ideal with the all-ones form reads
     it; an ideal with other generators shares the part but not these
-    splits."""
+    splits.
+
+    ``profile`` is the ``HilbertProfile`` of the monomial ideal itself and
+    ``level`` whether its quotient is level, each None until first needed.
+    ``SliceCache.profile`` fills the first after the engine's Artinian
+    check, so a part without a pure power of every variable never has one;
+    ``wlp.wlp_check`` fills the second from ``socle_report``. Every later
+    engine of the monomial ideal, in any field, reads them; an ideal with
+    other generators shares the part but has its own profile."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -203,6 +213,8 @@ class MonomialPart:
         self._socle: tuple | None = None
         self.ones_rows: dict[int, tuple] = {}
         self.all_ones: dict[int, tuple] = {}
+        self.profile: HilbertProfile | None = None
+        self.level: bool | None = None
 
     def std(self, d: int) -> tuple:
         s = self._std.get(d)
@@ -276,8 +288,10 @@ class SliceCache:
     field either: they come from the MonomialPart of I's monomial generators,
     shared through the monomial_part memo (keyed by the number of variables
     and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
-    with every engine of an equal monomial part, in any characteristic. So
-    does the Hilbert profile of an ideal with no polynomial generators.
+    with every engine of an equal monomial part, in any characteristic. An
+    ideal with no polynomial generators reads its Hilbert profile from the
+    part too: the first engine that needs it fills it (``profile``), and
+    every later engine of that ideal, in any field, starts with it.
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -289,7 +303,7 @@ class SliceCache:
             I.num_vars, tuple(sorted(set(I.monomial_generators))))
         self._ech: dict[int, IntRowEchelon] = {}
         self._reason: str | None = None
-        self._profile: HilbertProfile | None = None
+        self._profile = None if self.poly_gens else self.shared.profile
 
     def std(self, d: int) -> tuple:
         return self.shared.std(d)
@@ -404,13 +418,16 @@ class SliceCache:
     def profile(self) -> HilbertProfile:
         """h(d) = dim (R/I)_d from d = 0 until it vanishes, computed once;
         NotArtinianError when R/I is not Artinian. A monomial ideal counts
-        its part's standard monomials, so it builds no echelon."""
+        its part's standard monomials, so it builds no echelon, and keeps
+        the profile in the part, where every later engine reads it."""
         if self._profile is None:
             self.require_artinian()
             values = [self.dim(0)]
             while values[-1]:
                 values.append(self.dim(len(values)))
             self._profile = HilbertProfile(tuple(values))
+            if not self.poly_gens:
+                self.shared.profile = self._profile
         return self._profile
 
 
@@ -435,10 +452,12 @@ def is_artinian(I: HomogeneousIdeal, field: FieldSpec = QQ,
     return not slice_engine(I, field, cache).not_artinian()
 
 
-@dataclass
+@dataclass(frozen=True)
 class HilbertProfile:
     """An Artinian Hilbert function, or h-vector, h(0..D): trailing zeros
-    stripped, and starting with h(0) = 1 (else ValueError)."""
+    stripped, and starting with h(0) = 1 (else ValueError). Immutable: a
+    monomial ideal's profile is one object, read by its engines in every
+    field."""
 
     values: tuple
 
@@ -448,7 +467,7 @@ class HilbertProfile:
             vals.pop()
         if not vals or vals[0] != 1:
             raise ValueError("h-vector must start with 1")
-        self.values = tuple(vals)
+        object.__setattr__(self, "values", tuple(vals))
 
     @property
     def socle_degree(self) -> int:

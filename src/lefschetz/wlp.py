@@ -37,7 +37,13 @@ Every later decision of that ideal, char 0 or p, reads the map's rank from
 them: k + rank_Q(C') when p does not divide D', which is then the rank
 over F_p, and otherwise k plus the rank of C' eliminated mod p. No prime
 that lowers the rank is hidden: each divides D'. The full scan,
-mult_map_rank and kernel_witness neither read nor fill these splits.
+mult_map_rank and kernel_witness neither read nor fill these splits. The
+part also keeps a monomial ideal's Hilbert profile and level flag: the
+first decision fills them through hilbert_profile and socle_report, and
+every later one, in any field, reads them. So a decision in a further
+characteristic enumerates nothing and builds no profile or socle report;
+it reads h once, padded with h_{D+1} = 0, and builds each DegreeReport
+and the failure degrees in one pass.
 
 Candidate forms: wlp_check tries the given forms in order, each distinct
 form once, and any success certifies the WLP. By default it tries
@@ -80,7 +86,7 @@ UP = "propagated up"  # from a surjective step below, Prop. 2.1(a)
 DOWN = "propagated down"  # from an injective step above, Prop. 2.1(b)
 
 
-@dataclass
+@dataclass(slots=True)
 class DegreeReport:
     d: int
     h_d: int
@@ -93,11 +99,6 @@ class DegreeReport:
     @property
     def maximal(self) -> bool:
         return self.injective or self.surjective
-
-    @classmethod
-    def from_rank(cls, d: int, h_d: int, h_d1: int, rank: int,
-                  path: str = COMPUTED) -> "DegreeReport":
-        return cls(d, h_d, h_d1, rank, rank == h_d, rank == h_d1, path)
 
 
 @dataclass
@@ -251,8 +252,8 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
     last=False is for a form the caller drops if it fails: the first
     computed degree that is neither injective nor surjective raises
     _Failing, and no later degree is computed."""
-    h = profile
-    D = h.socle_degree
+    h = profile.values + (0,)  # h_{D+1} = 0
+    D = profile.socle_degree
     p = cache.field.characteristic
     ranks = {}
     read = set()  # degrees whose rank came from integer
@@ -281,17 +282,20 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
     d_i = -1
     if level and not full_scan:
         d_i = next((d for d in range(d_s, -1, -1) if rank(d) == h[d]), -1)
-    reports = []
+    reports, failures = [], []
     for d in range(D + 1):
+        h_d, h_d1 = h[d], h[d + 1]
         if d > d_s:
-            rep = DegreeReport.from_rank(d, h[d], h[d + 1], h[d + 1], UP)
+            r, path = h_d1, UP
         elif d < d_i:
-            rep = DegreeReport.from_rank(d, h[d], h[d + 1], h[d], DOWN)
+            r, path = h_d, DOWN
         else:
-            rep = DegreeReport.from_rank(d, h[d], h[d + 1], rank(d),
-                                         INTEGER if d in read else COMPUTED)
-        reports.append(rep)
-    failures = [rep.d for rep in reports if not rep.maximal]
+            r, path = rank(d), INTEGER if d in read else COMPUTED
+        injective, surjective = r == h_d, r == h_d1
+        if not (injective or surjective):
+            failures.append(d)
+        reports.append(DegreeReport(d, h_d, h_d1, r, injective, surjective,
+                                    path))
     return WLPVerdict(reports, not failures, failures, L, cache.field, True)
 
 
@@ -332,11 +336,14 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
     forms = candidate_forms(I, field) if forms is None else _distinct(forms)
     _require_forms(cache, forms)
     profile = hilbert_profile(I, field, cache)
-    level = socle_report(I, cache).is_level if I.is_monomial else False
-    # all-ones splits over Z shared across characteristics: only a monomial
-    # ideal's own maps, and never for the full-scan oracle
-    integer = (cache.shared.all_ones if I.is_monomial and not full_scan
-               else None)
+    level, integer = False, None
+    if I.is_monomial:  # the part's field-independent facts, filled once
+        part = cache.shared
+        if part.level is None:
+            part.level = socle_report(I, cache).is_level
+        level = part.level
+        # the all-ones splits over Z, but never for the full-scan oracle
+        integer = None if full_scan else part.all_ones
     for n, L in enumerate(forms, 1):
         ranks = integer if _is_all_ones(L, I.num_vars) else None
         try:

@@ -1,11 +1,15 @@
 """Independent oracles used only by the tests: a cofactor determinant, the
 gcd of maximal minors by enumerating them, a rank over a field for dense
-rows with entries in that field, monomial divisibility, and the socle of a
-monomial quotient by its definition."""
+rows with entries in that field, monomial divisibility, the socle of a
+monomial quotient by its definition, and the socle of an almost complete
+intersection (x^a, y^b, z^c, x^alpha y^beta z^gamma) from its inverse
+system."""
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
+from lefschetz.families import Aci3
 from lefschetz.fields import FieldSpec
 from lefschetz.matrices import clear_denominators, mod_rank, rank_int_rows
 
@@ -64,3 +68,36 @@ def socle_brute(gens, r: int) -> list:
              and not any(standard(m[:i] + (m[i] + 1,) + m[i + 1:])
                          for i in range(r))]
     return sorted(socle, key=lambda m: (sum(m), [-a for a in m]))
+
+
+@dataclass
+class Aci3Metadata:
+    inverse_system: list  # exponent tuples of the dual generators
+    cm_type: int
+    socle_degrees: list
+    is_level: bool
+    residual_ideal: tuple  # residual complete-intersection degrees (x, y, z powers)
+
+
+def aci3_metadata(spec: Aci3) -> Aci3Metadata:
+    """Inverse system, socle data, and residual ideal of the codim-3 family,
+    with the convention that a dual generator with a -1 exponent is removed."""
+    spec.validate()
+    a, b, c = spec.a, spec.b, spec.c
+    al, be, ga = spec.alpha, spec.beta, spec.gamma
+    candidates = [(a - 1, b - 1, ga - 1), (a - 1, be - 1, c - 1),
+                  (al - 1, b - 1, c - 1)]
+    inverse_system = []
+    socle_degrees = []
+    for expo in candidates:
+        if min(expo) < 0:
+            continue
+        inverse_system.append(expo)
+        socle_degrees.append(sum(expo))
+    return Aci3Metadata(
+        inverse_system=inverse_system,
+        cm_type=len(inverse_system),
+        socle_degrees=sorted(socle_degrees),
+        is_level=len(set(socle_degrees)) == 1,
+        residual_ideal=(a - al, b - be, c - ga),
+    )

@@ -1,12 +1,12 @@
 import pytest
 
 from lefschetz.families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci,
-                                aci3_metadata, aci3_mod3_obstruction,
-                                betti_table,
+                                aci3_mod3_obstruction, betti_table,
                                 chain_ideal, general_form, make_ideal,
                                 predicates)
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import hilbert_profile, socle_report
+from oracles import aci3_metadata
 
 
 def test_irkd_generators():

@@ -1,14 +1,15 @@
 """The field-independent part of the slice engine (standard monomials, their
 column index and the socle) is shared
 between characteristics and between equal monomial parts through the
-ideals.monomial_part memo, and so are the all-ones rows F*m of each degree
-and the unit splits over Z of a monomial ideal's all-ones maps, which every
-later decision of that ideal reads, in any characteristic. Every answer given through the shared memo must be the one a cleared
-memo gives; only a rank's path may say it was read from the integer rank
-where the cleared memo computed it."""
+ideals.monomial_part memo, and so are the all-ones rows F*m of each degree,
+and a monomial ideal's Hilbert profile, level flag and unit splits over Z
+of its all-ones maps, which every later decision of that ideal reads, in
+any characteristic. Every answer given through the shared memo must be the
+one a cleared memo gives; only a rank's path may say it was read from the
+integer rank where the cleared memo computed it."""
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,15 @@ from hypothesis import strategies as st
 from lefschetz import ideals
 from lefschetz.families import Irr, Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
-from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal, SliceCache,
-                              hilbert_profile, monomial_part, parse_ideal,
-                              socle_report, standard_monomials)
+from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal,
+                              NotArtinianError, SliceCache, hilbert_profile,
+                              monomial_part, parse_ideal, socle_report,
+                              standard_monomials)
 from lefschetz.matrices import IntRowEchelon
 from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import level_aci_grid
-from lefschetz.wlp import (COMPUTED, INTEGER, kernel_witness, mult_map_rank,
-                           wlp_check)
+from lefschetz.wlp import (COMPUTED, DOWN, INTEGER, kernel_witness,
+                           mult_map_rank, wlp_check)
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 LEVEL_SLICE = [LevelAci(*point) for point in list(level_aci_grid(7, 2))[:12]]
@@ -122,6 +124,10 @@ def test_shared_data_cannot_be_changed():
     socle_report(I).socle_monomials.clear()  # likewise
     assert SliceCache(I, QQ).std(4) == std == tuple(standard_monomials(I, 4))
     assert socle_report(I).cm_type > 0
+    h = tuple(hilbert_profile(I, QQ))
+    with pytest.raises(FrozenInstanceError):
+        hilbert_profile(I, GF(3), cache).values = (1,)
+    assert tuple(hilbert_profile(I, QQ)) == h
     first = wlp_check(I, QQ)
     second = wlp_check(make_ideal(LevelAci(2, 3, 4, 5), QQ), QQ)
     assert _as_computed(second) == _as_computed(first)
@@ -134,23 +140,73 @@ def test_shared_data_cannot_be_changed():
                           (Jr(4), GF(5), QQ)])
 def test_second_characteristic_enumerates_nothing(monkeypatch, spec, first,
                                                   second):
+    """Decisions after the first, in another field or with the generators
+    in another order, enumerate no standard monomial and build no
+    SocleReport. A monomial ideal builds no HilbertProfile either: it reads
+    its part's profile and level flag. J_4 builds its own profile."""
     calls = []
-    enumerate_ = ideals.standard_monomial_tuples
-
-    def counted(*args):
-        calls.append(args)
-        return enumerate_(*args)
-
-    monkeypatch.setattr(ideals, "standard_monomial_tuples", counted)
+    for name in ("standard_monomial_tuples", "HilbertProfile", "SocleReport"):
+        def counted(*args, name=name, build=getattr(ideals, name)):
+            calls.append(name)
+            return build(*args)
+        monkeypatch.setattr(ideals, name, counted)
     monomial_part.cache_clear()
     wlp_check(make_ideal(spec, first), first)
-    assert calls
-    seen = len(calls)
+    assert "standard_monomial_tuples" in calls
+    calls.clear()
     wlp_check(make_ideal(spec, second), second)
     I = make_ideal(spec, second)
     shuffled = random.Random(1).sample(I.generators, len(I.generators))
     wlp_check(HomogeneousIdeal(I.num_vars, shuffled), first)
-    assert len(calls) == seen
+    assert set(calls) == (set() if I.is_monomial else {"HilbertProfile"})
+
+
+def test_equal_monomial_parts_share_one_profile():
+    """Monomial ideals with an equal monomial part have one Hilbert profile
+    in every field: the part's."""
+    monomial_part.cache_clear()
+    I = make_ideal(LevelAci(2, 3, 4, 5), QQ)
+    J = make_ideal(LevelAci(2, 3, 4, 5), GF(5))
+    J = HomogeneousIdeal(J.num_vars, J.generators[::-1])
+    assert hilbert_profile(I, QQ) is hilbert_profile(J, GF(5))
+
+
+XYZ = ["x", "y", "z"]
+
+
+def test_non_artinian_part_raises_the_same_reason_in_every_field(
+        monkeypatch):
+    """(x^2, y^3) in x, y, z has no profile to share: each field makes the
+    engine's Artinian check again and raises the first field's reason,
+    before any monomial is enumerated (whose profile would never end)."""
+    def enumerated(*args):
+        raise AssertionError("a monomial was enumerated")
+
+    monkeypatch.setattr(ideals, "standard_monomial_tuples", enumerated)
+    monomial_part.cache_clear()
+    with pytest.raises(NotArtinianError) as first:
+        hilbert_profile(parse_ideal("x^2,y^3", XYZ, QQ), QQ)
+    assert "variable index 2" in str(first.value)
+    for field in (GF(2), QQ):
+        I = parse_ideal("x^2,y^3", XYZ, field)
+        for ask in (hilbert_profile, wlp_check):
+            with pytest.raises(NotArtinianError) as again:
+                ask(I, field)
+            assert str(again.value) == str(first.value)
+
+
+def test_level_flag_filled_in_char_p_is_read_in_char_0():
+    """The non-level (x^5, y^5, z^2, xy^4, y^2z, xz), decided over GF(2) and
+    then over QQ, is scanned down in neither: read as level, its failing
+    degree 2 would be taken for injective."""
+    gens = "x^5,y^5,z^2,x*y^4,y^2*z,x*z"
+    monomial_part.cache_clear()
+    wlp_check(parse_ideal(gens, XYZ, GF(2)), GF(2))
+    got = wlp_check(parse_ideal(gens, XYZ, QQ), QQ)
+    assert DOWN not in {r.path for r in got.reports}
+    assert got.failure_degrees == [2]
+    monomial_part.cache_clear()
+    assert _as_computed(got) == wlp_check(parse_ideal(gens, XYZ, QQ), QQ)
 
 
 # (x_1^4, ..., x_4^4): a monomial ideal and the monomial part of J_4

@@ -24,14 +24,18 @@ DIR is a checkout of the revision to compare against (for instance a
   ``hilbert --family irr --r 5 --char 2 --char 0 --json`` and
   ``wlp --family jr --r 4 --char 2 --char 0 --char 5 --json`` (the
   monomial part's standard monomials and all-ones rows first made in char
-  p, then read in char 0): exit code and stdout;
+  p, then read in char 0), and ``hilbert --gens x^2,y^3 --vars x,y,z
+  --char 0 --char 2`` (a non-Artinian monomial ideal, whose exit code
+  comes from the NotArtinianError raised in each field): exit code and
+  stdout;
 - ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
   --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
   and 5 (level ideals whose failures span several degrees) and in 5, 2
   and 0 (its all-ones maps, with cores of dozens of rows, split in char
   p first and read in char 0), the
   non-level ``--gens x^5,y^5,z^2,x*y^4,y^2*z,x*z --vars x,y,z`` in 0 and
-  2, and ``--family levelaci --alpha 3 --beta 3 --gamma 3 --t 7`` in 2,
+  2 and in 2 and 0 (its level flag filled in char 2 and read in char 0),
+  and ``--family levelaci --alpha 3 --beta 3 --gamma 3 --t 7`` in 2,
   11, 0, 3 and 5 (det M = 2^3 3^4 11^2: in one process, characteristics
   decided before and after char 0 has computed the integer ranks, both
   ones that divide det M and one that does not): exit code and stdout;
@@ -95,6 +99,9 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                ("hilbert Irr(5) chars 2, 0 --json",
                 ["hilbert", "--family", "irr", "--r", "5", "--char", "2",
                  "--char", "0", "--json"]),
+               ("hilbert non-Artinian (x^2,y^3) chars 0, 2",
+                ["hilbert", "--gens", "x^2,y^3", "--vars", "x,y,z", "--char",
+                 "0", "--char", "2"]),
                ("wlp Jr(4) chars 2, 0, 5 --json",
                 ["wlp", "--family", "jr", "--r", "4", "--char", "2",
                  "--char", "0", "--char", "5", "--json"]),
@@ -111,6 +118,9 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                ("wlp non-level (x^5,y^5,z^2,x*y^4,y^2*z,x*z) chars 0, 2 --json",
                 ["wlp", "--gens", "x^5,y^5,z^2,x*y^4,y^2*z,x*z", "--vars",
                  "x,y,z", "--char", "0", "--char", "2", "--json"]),
+               ("wlp non-level (x^5,y^5,z^2,x*y^4,y^2*z,x*z) chars 2, 0 --json",
+                ["wlp", "--gens", "x^5,y^5,z^2,x*y^4,y^2*z,x*z", "--vars",
+                 "x,y,z", "--char", "2", "--char", "0", "--json"]),
                ("wlp LevelAci(3,3,3,7) chars 2, 11, 0, 3, 5 --json",
                 ["wlp", "--json", "--family", "levelaci", "--alpha", "3",
                  "--beta", "3", "--gamma", "3", "--t", "7", "--char", "2",
