@@ -18,10 +18,12 @@ of the non-monomial slice rows, so an ideal decided in several
 characteristics, or two ideals with an equal monomial part, enumerate their
 monomials once, and a monomial ideal builds no echelon for its Hilbert
 profile. The part also keeps the rows F*m of the all-ones form F in each
-degree, whose entries are 1 in every field, for every ideal with that
-monomial part; and the unit split over Z of a monomial ideal's all-ones
-maps, which answers each map's rank in every characteristic; and the
-monomial ideal's Hilbert profile (a ``HilbertProfile``, the one type for
+degree, whose entries are 1 in every field, for the ideals with that
+monomial part and polynomial generators; the generators of the monomial
+ideal's restriction J to r - 1 variables, and the unit split over Z of
+the slices of J, which answers the rank of each all-ones map of the
+monomial ideal in every characteristic; and the monomial ideal's Hilbert
+profile (a ``HilbertProfile``, the one type for
 Hilbert functions and h-vectors) and level flag, which a decision in a
 further characteristic reads. The engine decides the Artinian test, and
 owns the Hilbert profile of an ideal with polynomial generators.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
+from math import comb
 from operator import add, le
 
 from .fields import QQ, FieldSpec
@@ -164,8 +167,9 @@ class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
     per degree the standard monomials (a tuple) and their column index, the
     socle (the corners of the staircase, from the generators alone), and
-    the all-ones rows and map ranks below. Shared between slice engines
-    through monomial_part, so nothing filled in may be changed.
+    the all-ones rows, the restriction and the map ranks below. Shared
+    between slice engines through monomial_part, so nothing filled in may
+    be changed.
 
     Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
     a generator (0 for none); ``reason`` names a variable with none ("" when
@@ -173,20 +177,28 @@ class MonomialPart:
 
     ``ones_rows`` maps a degree d to the rows F*m of the all-ones form F,
     for m in std(d)[::-1], on the standard monomials of degree d + 1: the
-    same 0/1 rows in every field and for every ideal with this monomial
-    part. ``wlp._rows`` fills and reads it.
+    same 0/1 rows in every field. ``wlp._rows`` fills and reads it only
+    for ideals with polynomial generators, every one with this monomial
+    part; a monomial ideal's all-ones maps are read off J instead.
+
+    ``restriction`` keeps the data of J, the image of the monomial ideal
+    in r - 1 variables under x_1 -> -(x_2 + ... + x_r), that no field
+    changes: a nested MonomialPart of its monomial generators and the
+    integer terms of its other generators. ``restriction_rows`` builds
+    the rows of its slices from them.
 
     ``all_ones`` maps a degree d to (k, core, rank over Q of the core,
     D') for the all-ones map A_d -> A_{d+1} of the monomial ideal itself:
-    its rows split over Z into k pivots with lead +-1 and the core rows
-    (``matrices.unit_split``), so that its rank in every field is k plus
-    the core's, and D' is the lead product of the core's echelon over Z,
-    which gives the core's rank over F_p for every p that does not divide
-    it (the lemmas of ``matrices``). The first ``wlp_check`` of the
-    monomial ideal that needs degree d fills it, in any characteristic,
-    and every later decision of that ideal with the all-ones form reads
-    it; an ideal with other generators shares the part but not these
-    splits.
+    the rows of J's degree-(d + 1) slice split over Z into k' pivots with
+    lead +-1 and the core rows (``matrices.unit_split``), k = h_{d+1} - n
+    + k' for the n standard monomials of J in that degree, so that the
+    map's rank in every field is k plus the core's (``wlp``'s restriction
+    lemma), and D' is the lead product of the core's echelon over Z, which
+    gives the core's rank over F_p for every p that does not divide it
+    (the lemmas of ``matrices``). The first ``wlp_check`` of the monomial
+    ideal that needs degree d fills it, in any characteristic, and every
+    later decision of that ideal with the all-ones form reads it; an ideal
+    with other generators shares the part but not these splits.
 
     ``profile`` is the ``HilbertProfile`` of the monomial ideal itself and
     ``level`` whether its quotient is level, each None until first needed.
@@ -215,6 +227,7 @@ class MonomialPart:
         self.all_ones: dict[int, tuple] = {}
         self.profile: HilbertProfile | None = None
         self.level: bool | None = None
+        self._restriction: tuple | None = None
 
     def std(self, d: int) -> tuple:
         s = self._std.get(d)
@@ -264,6 +277,75 @@ class MonomialPart:
                 corners = kept
             self._socle = tuple(sorted(sorted(corners, reverse=True), key=sum))
         return self._socle
+
+    def restriction(self) -> tuple:
+        """(part, images) for J, the image of the monomial ideal in
+        S = Z[x_2, ..., x_r] under x_1 -> -(x_2 + ... + x_r), with the
+        sign of each image, a unit, dropped (``wlp``'s restriction lemma).
+
+        ``part`` is the MonomialPart of J's monomial generators, those of
+        the ideal free of x_1, in r - 1 variables. It is built here, not
+        through monomial_part, so that it evicts no entry of that memo.
+
+        ``images`` has, for each other generator x_1^a m', its degree and
+        the terms of (x_2 + ... + x_r)^a m' as (exponent, multinomial
+        coefficient a!/(b_2! ... b_r!)) pairs, less every term with an
+        exponent at or past a pure power of part: such a term, times any
+        monomial, is not standard. A generator left with no term is
+        dropped."""
+        if self._restriction is None:
+            part = MonomialPart(self.num_vars - 1, tuple(
+                g[1:] for g in self.mono_gens if not g[0]))
+            images = []
+            for g in self.mono_gens:
+                if g[0]:
+                    terms = _multinomial_terms(g[0], [
+                        power - 1 - b if power else g[0]
+                        for power, b in zip(part.powers, g[1:])])
+                    if terms:
+                        images.append((sum(g), tuple(
+                            (tuple(map(add, b, g[1:])), c) for b, c in terms)))
+            self._restriction = part, tuple(images)
+        return self._restriction
+
+    def restriction_rows(self, e: int):
+        """Yield the rows g*m of J's degree-e slice (``restriction``), on
+        the standard monomials of its monomial part in degree e, as
+        {column: entry} dicts: for each image g, in order, and m in the
+        part's std(e - deg g)[::-1], the order ``wlp._rows`` states for its
+        rows. Empty rows are skipped. The rows are built as they are
+        taken, so a consumer that stops at full rank builds no more."""
+        part, images = self.restriction()
+        idx = part.index(e)
+        for degree, terms in images:
+            if degree > e:
+                continue
+            for m in part.std(e - degree)[::-1]:
+                row = {}
+                for t, c in terms:
+                    i = idx.get(tuple(map(add, m, t)))
+                    if i is not None:
+                        row[i] = c  # distinct terms land on distinct columns
+                if row:
+                    yield row
+
+
+def _multinomial_terms(a: int, caps: list) -> list:
+    """(b, a!/(b_1! ... b_n!)) for the exponents b of (x_1 + ... + x_n)^a
+    with b_i <= caps[i], in descending lexicographic order."""
+    out = []
+
+    def extend(prefix, i, rest, coeff):
+        if i == len(caps) - 1:
+            if rest <= caps[i]:
+                out.append((prefix + (rest,), coeff))
+            return
+        for b in range(min(rest, caps[i]), -1, -1):
+            extend(prefix + (b,), i + 1, rest - b, coeff * comb(rest, b))
+
+    if caps:
+        extend((), 0, a, 1)
+    return out
 
 
 @lru_cache(maxsize=MONOMIAL_PARTS)

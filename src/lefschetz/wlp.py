@@ -2,7 +2,9 @@
 
 The rank of x F : (R/I)_d -> (R/I)_{d+e} is computed as
 rank(slice(I)_{d+e} plus the rows F*m) minus rank(slice(I)_{d+e}), with all
-rows projected onto the standard monomials of the monomial part of I.
+rows projected onto the standard monomials of the monomial part of I; but
+wlp_check takes a monomial ideal's all-ones map from the restriction of I
+to r - 1 variables (below).
 
 Per-degree ranks (Prop. 2.1 of the source paper, for any linear form L and
 any field). Write A = R/I, h its Hilbert function and D its socle degree.
@@ -24,26 +26,55 @@ them. DegreeReport.path says which of the three gave a degree its rank,
 or that a computed rank was read from an integer one (below).
 
 Work shared across characteristics. The all-ones form's rows F*m are the
-same 0/1 rows in every field, so _rows builds them once per degree and
-keeps them in the MonomialPart of I, for every ideal with that monomial
-part; every other form builds its own. For a monomial ideal the Hilbert
-function counts the part's standard monomials, and its all-ones map is that
-0/1 matrix. The first decision of such an ideal that needs a degree, in
-any characteristic, splits the map over Z once (``matrices.unit_split``):
-k pivots with lead +-1 and a small core C', with rank_F = k + rank_F(C') in
-every field F. One echelon over Z of the core gives rank_Q(C') and its
-lead product D' (the lemma of ``matrices``), and the part keeps the four.
-Every later decision of that ideal, char 0 or p, reads the map's rank from
-them: k + rank_Q(C') when p does not divide D', which is then the rank
-over F_p, and otherwise k plus the rank of C' eliminated mod p. No prime
-that lowers the rank is hidden: each divides D'. The full scan,
-mult_map_rank and kernel_witness neither read nor fill these splits. The
-part also keeps a monomial ideal's Hilbert profile and level flag: the
-first decision fills them through hilbert_profile and socle_report, and
-every later one, in any field, reads them. So a decision in a further
-characteristic enumerates nothing and builds no profile or socle report;
-it reads h once, padded with h_{D+1} = 0, and builds each DegreeReport
-and the failure degrees in one pass.
+same 0/1 rows in every field, so for an ideal with polynomial generators
+_rows builds them once per degree and keeps them in the MonomialPart of I,
+for every ideal with that monomial part; every other form builds its own.
+A monomial ideal's all-ones map is instead read off the paper's passage to
+R/(I, L), in r - 1 variables.
+
+Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
+L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
+and J the ideal of S generated by the images of I's generators under
+x_1 -> -(x_2 + ... + x_r). Let n be the number of standard monomials of
+degree d + 1 free of x_1, and (k', C') the unit split over Z
+(``matrices.unit_split``) of the rows of J's degree-(d+1) slice, written
+on the standard monomials of J's monomial generators. Then in every field
+F, x L : A_d -> A_{d+1} has rank h_{d+1} - n + k' + rank_F(C').
+
+Proof. The substitution is a ring map R -> S over Z, onto with kernel
+(L), so R/(I + (L)) and S/J are isomorphic, and stay so after tensoring
+with F, where J is generated by the same images. In degree d + 1 the left
+side is the cokernel of x L, so the rank is h_{d+1} - dim_F (S/J)_{d+1}.
+J's monomial generators are those of I free of x_1; a generator with x_1
+divides no monomial free of it, so their standard monomials of degree
+d + 1 are the n standard ones of I free of x_1. Modulo them, J_{d+1} is
+spanned by the rows g*m, for the image g of each other generator and each
+monomial m of S of degree d + 1 - deg g, projected on those n monomials
+(zero unless m is standard too). So dim_F (S/J)_{d+1} = n - rank_F(rows)
+= n - k' - rank_F(C'), by the unit split's lemma (``matrices``). Each
+image's sign (-1)^a is a unit, and a term with an exponent at or past a
+pure power of J projects to zero times every m, so dropping either
+changes no row's span.
+
+The first decision of a monomial ideal that needs a degree, in any
+characteristic, splits the rows of J's slice over Z once. The part keeps
+J's generators (``MonomialPart.restriction``) and builds the rows as the
+split takes them (``MonomialPart.restriction_rows``), so that none is
+built past full rank. One echelon over Z of the core gives rank_Q(C') and
+its lead product D' (the lemma of ``matrices``), and the part keeps
+(k, C', rank_Q(C'), D'), k = h_{d+1} - n + k', so that rank_F = k +
+rank_F(C') in every field F. Every later decision of that ideal, char 0 or
+p, reads the map's rank from them: k + rank_Q(C') when p does not divide
+D', which is then the rank over F_p, and otherwise k plus the rank of C'
+eliminated mod p. No prime that lowers the rank is hidden: each divides D'.
+The full scan, mult_map_rank and kernel_witness neither read nor fill these
+splits: they eliminate the rows F*m of the map itself, so they check the
+lemma independently. The part also keeps a monomial ideal's Hilbert profile
+and level flag: the first decision fills them through hilbert_profile and
+socle_report, and every later one, in any field, reads them. So a decision
+in a further characteristic enumerates nothing and builds no profile or
+socle report; it reads h once, padded with h_{D+1} = 0, and builds each
+DegreeReport and the failure degrees in one pass.
 
 Candidate forms: wlp_check tries the given forms in order, each distinct
 form once, and any success certifies the WLP. By default it tries
@@ -149,10 +180,11 @@ def _rows(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int):
     meet no earlier row in their lead column and become pivots without an
     update.
 
-    The all-ones form's rows are the part's ones_rows, built on first use
-    in any field: their entries are 1, and the kernel never mutates a row."""
+    The all-ones form's rows for an ideal with polynomial generators are
+    the part's ones_rows, built on first use in any field: their entries
+    are 1, and the kernel never mutates a row."""
     monomials = cache.std(d)[::-1]
-    if not _is_all_ones(F, cache.I.num_vars):
+    if not (cache.poly_gens and _is_all_ones(F, cache.I.num_vars)):
         return cache.multiple_rows(F, monomials, de)
     shared = cache.shared.ones_rows
     rows = shared.get(d)
@@ -163,13 +195,16 @@ def _rows(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int):
 
 def _split_map(cache: SliceCache, L: HomogeneousPolynomial, d: int) -> tuple:
     """The all_ones entry of a monomial ideal's all-ones map x L : A_d ->
-    A_{d+1}: (k, core, rank over Q of the core, D'), from the unit split
-    of its rows over Z and one echelon over Z of the core, whose
-    lead_product is D'."""
-    ncols = len(cache.std(d + 1))
-    k, core = unit_split(_rows(cache, L, d, d + 1), ncols)
-    ech = IntRowEchelon(ncols)
-    return k, tuple(core), ech.extend(core), ech.lead_product
+    A_{d+1}, by the restriction lemma (the module docstring): (h_{d+1} - n
+    + k, core, rank over Q of the core, D'), from the unit split of the
+    rows of J's degree-(d+1) slice on its n standard monomials and one
+    echelon over Z of the core, whose lead_product is D'."""
+    part = cache.shared
+    n = len(part.restriction()[0].std(d + 1))
+    k, core = unit_split(part.restriction_rows(d + 1), n)
+    ech = IntRowEchelon(n)
+    return (len(cache.std(d + 1)) - n + k, tuple(core), ech.extend(core),
+            ech.lead_product)
 
 
 def _split_rank(entry: tuple, p: int, ncols: int) -> int:

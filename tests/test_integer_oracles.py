@@ -6,10 +6,12 @@ as numbers rather than through verdicts:
 - for (x^a, y^b, z^c) with a+b+c even and c <= a+b-2 the map at
   d = (a+b+c-4)/2 is square, and its |det| is MacMahon's count of plane
   partitions in an A x B x C box (Li-Zanello 2010);
-- where det M is nonzero, the lead product D' of the core of the plateau
-  map's unit split, which the char-0 decision keeps, is +-det M, so a
-  char-p decision reads that rank without eliminating exactly in the
-  characteristics where the WLP holds.
+- where det M is nonzero, the lead product D' of the core of the unit
+  split that the char-0 decision keeps for the plateau map, made from the
+  slice of the restriction J of the ideal to r - 1 variables (the
+  restriction lemma of ``wlp``), is +-det M, so a char-p decision reads
+  that rank without eliminating exactly in the characteristics where the
+  WLP holds.
 
 The determinant and the minor gcd run on the library's elimination kernel,
 so they are also checked against code that shares none of it: sympy's

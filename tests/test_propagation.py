@@ -37,8 +37,9 @@ def field_of(ch):
 
 def count_maps(monkeypatch) -> list:
     """Record (form, d) for every map rank wlp_check computes: by an
-    elimination in the decision's field (_map_rank), or by the unit split
-    of a monomial ideal's all-ones map (_split_map). A caller clears the
+    elimination in the decision's field (_map_rank), or, for a monomial
+    ideal's all-ones map, by the unit split of the slice of its
+    restriction J to r - 1 variables (_split_map). A caller clears the
     monomial_part memo before each counted decision."""
     calls = []
 

@@ -1,12 +1,14 @@
 """The field-independent part of the slice engine (standard monomials, their
 column index and the socle) is shared
 between characteristics and between equal monomial parts through the
-ideals.monomial_part memo, and so are the all-ones rows F*m of each degree,
-and a monomial ideal's Hilbert profile, level flag and unit splits over Z
-of its all-ones maps, which every later decision of that ideal reads, in
-any characteristic. Every answer given through the shared memo must be the
-one a cleared memo gives; only a rank's path may say it was read from the
-integer rank where the cleared memo computed it."""
+ideals.monomial_part memo, and so are the all-ones rows F*m of each degree
+of an ideal with polynomial generators, and a monomial ideal's Hilbert
+profile, level flag, restriction to r - 1 variables and the unit splits
+over Z of its slices, which give the all-ones maps' ranks that every later
+decision of that ideal reads, in any characteristic. Every answer given
+through the shared memo must be the one a cleared memo gives; only a
+rank's path may say it was read from the integer rank where the cleared
+memo computed it."""
 
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -19,9 +21,9 @@ from lefschetz import ideals
 from lefschetz.families import Irr, Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal,
-                              NotArtinianError, SliceCache, hilbert_profile,
-                              monomial_part, parse_ideal, socle_report,
-                              standard_monomials)
+                              MonomialPart, NotArtinianError, SliceCache,
+                              hilbert_profile, monomial_part, parse_ideal,
+                              socle_report, standard_monomials)
 from lefschetz.matrices import IntRowEchelon
 from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import level_aci_grid
@@ -319,22 +321,30 @@ def test_shared_rows_and_profiles_give_the_answers_of_a_cleared_memo(
 def test_level_chars_pass_builds_each_map_rows_once(monkeypatch):
     """On the level-chars grid, each point decided in every characteristic
     of the benchmark in turn (the memo cleared per point), the rows of
-    each map are built at most once: every later field reads the all-ones
-    rows of that degree."""
-    calls = []
-    rows = SliceCache.multiple_rows
+    each map are built at most once: the rows of J's slice
+    (MonomialPart.restriction_rows), whose split every later field reads.
+    No decision of these monomial ideals builds the rows F*m of a map."""
+    calls, direct = [], []
+    rows = MonomialPart.restriction_rows
+    multiple_rows = SliceCache.multiple_rows
 
-    def counted(self, poly, monomials, d):
-        calls.append((point, d))
-        return rows(self, poly, monomials, d)
+    def counted(self, e):
+        calls.append((point, e))
+        return rows(self, e)
 
-    monkeypatch.setattr(SliceCache, "multiple_rows", counted)
+    def counted_direct(self, poly, monomials, d):
+        direct.append((point, d))
+        return multiple_rows(self, poly, monomials, d)
+
+    monkeypatch.setattr(MonomialPart, "restriction_rows", counted)
+    monkeypatch.setattr(SliceCache, "multiple_rows", counted_direct)
     for point in level_aci_grid(9, 3):
         monomial_part.cache_clear()
         for ch in (0, 2, 3, 5, 7, 11, 13):
             field = GF(ch) if ch else QQ
             wlp_check(make_ideal(LevelAci(*point), field), field)
     assert calls and len(calls) == len(set(calls))
+    assert not direct
 
 
 @pytest.mark.parametrize("spec, first, second",

@@ -39,6 +39,12 @@ DIR is a checkout of the revision to compare against (for instance a
   11, 0, 3 and 5 (det M = 2^3 3^4 11^2: in one process, characteristics
   decided before and after char 0 has computed the integer ranks, both
   ones that divide det M and one that does not): exit code and stdout;
+- ``wlp --family irr --r 5 --char 2 --char 0 --char 5 --json``, and
+  ``wlp --json`` in 0 and 2 for ``--family levelaci`` at (alpha, beta,
+  gamma, t) = (2, 9, 13, 9) and (3, 7, 14, 9), where det M = 0 outside
+  every case of the level conjecture (all-ones maps whose rank is read
+  off the restriction to r - 1 variables with the core furthest from the
+  map's own): exit code and stdout;
 - ``wlp --family jr --r 5 --char 3 --char 5 --char 7 --json`` and
   ``wlp --family jr --r 4 --char 5 --strategy random --trials 8 --json``
   (long failing searches, each reported from its last distinct form while
@@ -126,7 +132,15 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                  "--beta", "3", "--gamma", "3", "--t", "7", "--char", "2",
                  "--char", "11", "--char", "0", "--char", "3", "--char",
                  "5"]),
-               ("wlp Jr(5) chars 3, 5, 7 --json",
+               ("wlp Irr(5) chars 2, 0, 5 --json",
+                ["wlp", "--family", "irr", "--r", "5", "--char", "2",
+                 "--char", "0", "--char", "5", "--json"])]
+            + [(f"wlp LevelAci({a},{b},{g},{t}) chars 0, 2 --json",
+                ["wlp", "--family", "levelaci", "--alpha", str(a), "--beta",
+                 str(b), "--gamma", str(g), "--t", str(t), "--char", "0",
+                 "--char", "2", "--json"])
+               for a, b, g, t in ((2, 9, 13, 9), (3, 7, 14, 9))]
+            + [("wlp Jr(5) chars 3, 5, 7 --json",
                 ["wlp", "--family", "jr", "--r", "5", "--char", "3",
                  "--char", "5", "--char", "7", "--json"]),
                ("wlp Jr(4) char 5 --strategy random --trials 8 --json",
