@@ -9,24 +9,23 @@ What does not depend on the field is computed once per process and shared:
 the standard monomials of the monomial part in each degree, their column
 index, and the socle of a monomial ideal live in a ``MonomialPart``, kept
 by ``monomial_part`` in an LRU memo of MONOMIAL_PARTS (two) entries keyed
-by (number of variables, sorted distinct monomial generators). The socle
-is read off the generators, with no monomial enumerated: its monomials are
-the corners of the staircase of standard monomials (Alexander duality;
-Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 5). A
-``SliceCache`` holds one part and adds only the field-dependent echelons
-of the non-monomial slice rows, so an ideal decided in several
-characteristics, or two ideals with an equal monomial part, enumerate their
-monomials once, and a monomial ideal builds no echelon for its Hilbert
-profile. The part also keeps the rows F*m of the all-ones form F in each
-degree, whose entries are 1 in every field, for the ideals with that
-monomial part and polynomial generators; the generators of the monomial
-ideal's restriction J to r - 1 variables, and the unit split over Z of
-the slices of J, which answers the rank of each all-ones map of the
-monomial ideal in every characteristic; and the monomial ideal's Hilbert
-profile (a ``HilbertProfile``, the one type for
-Hilbert functions and h-vectors) and level flag, which a decision in a
-further characteristic reads. The engine decides the Artinian test, and
-owns the Hilbert profile of an ideal with polynomial generators.
+by (number of variables, sorted distinct monomial generators). The socle is
+read off the generators, with no monomial enumerated: its monomials are the
+corners of the staircase of standard monomials (Alexander duality; Miller
+and Sturmfels, Combinatorial Commutative Algebra, ch. 5). A ``SliceCache``
+holds one part and adds only the field-dependent echelons of the
+non-monomial slice rows, so an ideal decided in several characteristics, or
+two ideals with an equal monomial part, enumerate their monomials once, and
+a monomial ideal builds no echelon for its Hilbert profile. The part also
+keeps the rows F*m of the all-ones form F in each degree, whose entries are
+1 in every field, for the ideals with that monomial part and polynomial
+generators; the generators of the monomial ideal's restriction J to r - 1
+variables, and the unit split over Z of the slices of J, which answers the
+rank of each all-ones map of the monomial ideal in every characteristic;
+and the monomial ideal's Hilbert profile (a ``HilbertProfile``, the one
+type for Hilbert functions and h-vectors) and level flag, which a decision
+in a further characteristic reads. The engine decides the Artinian test,
+and owns the Hilbert profile of an ideal with polynomial generators.
 """
 
 from __future__ import annotations

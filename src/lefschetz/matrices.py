@@ -13,8 +13,8 @@ exact. Determinants and minor gcds take a matrix as a list of int rows.
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
 insertion order sets the fill (``wlp._rows`` states its order, and
-``ideals.SliceCache.slice_rows`` and ``ideals.MonomialPart.restriction_rows``
-take the same). The kernel mutates
+``ideals.SliceCache.slice_rows`` and
+``ideals.MonomialPart.restriction_rows`` take the same). The kernel mutates
 neither a row it is given nor a stored pivot.
 
 Over Z an echelon also keeps, for each remainder it stored, its lead entry
