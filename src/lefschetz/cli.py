@@ -20,7 +20,6 @@ from .families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci, betti_table,
 from .fields import FieldSpec, is_prime
 from .ideals import hilbert_profile, parse_ideal
 from .liaison import bdl_chain
-from .matrices import MAX_MOD_RANK_PRIME
 from .sweeps import SWEEPS, run_sweep
 from .wlp import (DEFAULT_SEED, _all_ones, _random_forms, candidate_forms,
                   wlp_check)
@@ -135,14 +134,14 @@ def family_spec(args, parser):
 
 
 def fields_from_chars(chars, parser):
-    """The field of each --char; a usage error unless it is 0 or a prime
-    with p*p < 2^63 (MAX_MOD_RANK_PRIME)."""
+    """The field of each --char; a usage error, naming it, unless it is 0 or
+    a prime that is_prime decides."""
     for ch in chars:
-        if ch > MAX_MOD_RANK_PRIME:
-            parser.error(f"--char {ch} is outside the supported range: "
-                         "primes with p*p < 2^63")
-        if ch != 0 and not is_prime(ch):
-            parser.error(f"--char {ch} is neither 0 nor prime")
+        try:
+            if ch != 0 and not is_prime(ch):
+                parser.error(f"--char {ch} is neither 0 nor prime")
+        except ValueError as exc:  # past the proven range of is_prime
+            parser.error(f"--char {ch}: {exc}")
     return [FieldSpec(ch) for ch in chars]
 
 

@@ -17,9 +17,7 @@ holds one part and adds only the field-dependent echelons of the
 non-monomial slice rows, so an ideal decided in several characteristics, or
 two ideals with an equal monomial part, enumerate their monomials once, and
 a monomial ideal builds no echelon for its Hilbert profile. The part also
-keeps the rows F*m of the all-ones form F in each degree, whose entries are
-1 in every field, for the ideals with that monomial part and polynomial
-generators; the generators of the monomial ideal's restriction J to r - 1
+keeps the generators of the monomial ideal's restriction J to r - 1
 variables, and the unit split over Z of the slices of J, which answers the
 rank of each all-ones map of the monomial ideal in every characteristic;
 and the monomial ideal's Hilbert profile (a ``HilbertProfile``, the one
@@ -166,19 +164,12 @@ class MonomialPart:
     """The field-independent data of a monomial ideal, filled on demand:
     per degree the standard monomials (a tuple) and their column index, the
     socle (the corners of the staircase, from the generators alone), and
-    the all-ones rows, the restriction and the map ranks below. Shared
-    between slice engines through monomial_part, so nothing filled in may
-    be changed.
+    the restriction and the map ranks below. Shared between slice engines
+    through monomial_part, so nothing filled in may be changed.
 
     Its pure powers are found once: ``powers[i]`` is the least a with x_i^a
     a generator (0 for none); ``reason`` names a variable with none ("" when
     there is none), why the quotient is not Artinian.
-
-    ``ones_rows`` maps a degree d to the rows F*m of the all-ones form F,
-    for m in std(d)[::-1], on the standard monomials of degree d + 1: the
-    same 0/1 rows in every field. ``wlp._rows`` fills and reads it only
-    for ideals with polynomial generators, every one with this monomial
-    part; a monomial ideal's all-ones maps are read off J instead.
 
     ``restriction`` keeps the data of J, the image of the monomial ideal
     in r - 1 variables under x_1 -> -(x_2 + ... + x_r), that no field
@@ -222,7 +213,6 @@ class MonomialPart:
         self._std: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
-        self.ones_rows: dict[int, tuple] = {}
         self.all_ones: dict[int, tuple] = {}
         self.profile: HilbertProfile | None = None
         self.level: bool | None = None
@@ -317,16 +307,23 @@ class MonomialPart:
         part, images = self.restriction()
         idx = part.index(e)
         for degree, terms in images:
-            if degree > e:
-                continue
-            for m in part.std(e - degree)[::-1]:
-                row = {}
-                for t, c in terms:
-                    i = idx.get(tuple(map(add, m, t)))
-                    if i is not None:
-                        row[i] = c  # distinct terms land on distinct columns
-                if row:
-                    yield row
+            if degree <= e:
+                yield from filter(None, _product_rows(
+                    terms, part.std(e - degree)[::-1], idx))
+
+
+def _product_rows(terms, monomials, idx: dict):
+    """Yield the row of t*m for each m in monomials, in that order, t the
+    polynomial with the (exponent, coefficient) pairs terms: a {column:
+    entry} dict on the monomials of idx ({monomial: column}), empty where
+    no term of t*m is one of them."""
+    for m in monomials:
+        row = {}
+        for e, c in terms:
+            i = idx.get(tuple(map(add, m, e)))
+            if i is not None:
+                row[i] = c  # distinct terms land on distinct columns
+        yield row
 
 
 def _multinomial_terms(a: int, caps: list) -> list:
@@ -433,17 +430,8 @@ class SliceCache:
         _scaled_terms): the rows span the same space as the unscaled ones. A
         form in another number of variables raises ValueError."""
         self.require_same_ring(poly)
-        terms = self._scaled_terms(poly)
-        idx = self.index(d)
-        rows = []
-        for m in monomials:
-            row = {}
-            for e, c in terms:
-                i = idx.get(tuple(map(add, m, e)))
-                if i is not None:
-                    row[i] = c  # distinct terms land on distinct columns
-            rows.append(row)
-        return rows
+        return list(_product_rows(self._scaled_terms(poly), monomials,
+                                 self.index(d)))
 
     def require_same_ring(self, poly: HomogeneousPolynomial):
         """ValueError for a polynomial in another number of variables than

@@ -87,17 +87,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from copy import copy
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from .fields import MILLER_RABIN_BOUND, is_prime
 
 # Unused by the library; it stays bound because the benchmark tracer
 # (wlpbench/tracer.py) names mod_rank spans by it.
 _CERT_PRIME = 2**31 - 1
-
-# The supported range of mod_rank and --char: primes with p*p < 2^63. The
-# kernel is exact for any prime; this is the range the tests cover.
-MAX_MOD_RANK_PRIME = isqrt(2**63 - 1)
 
 FACTOR_BOUND = 10**6
 
@@ -169,15 +165,11 @@ def _require_prime(p: int):
         raise ValueError(f"modulus must be a prime, got {p}")
 
 
+# no library caller; kept while wlpbench/tracer.py binds it (ROADMAP item 12)
 def mod_rank(rows, ncols: int, p: int) -> int:
-    """Rank of an integer matrix over F_p.
-
-    Raises ValueError when p is not a prime, and for p > MAX_MOD_RANK_PRIME,
-    outside the supported range."""
+    """Rank of an integer matrix over F_p; ValueError unless p is a prime
+    that is_prime decides."""
     _require_prime(p)
-    if p > MAX_MOD_RANK_PRIME:
-        raise ValueError(f"prime {p} is outside the supported range "
-                         "(need p*p < 2^63)")
     return IntRowEchelon(ncols, p).extend(rows)
 
 
@@ -313,6 +305,7 @@ def unit_split(rows, ncols: int) -> tuple[int, list]:
     return len(pivots), [rem for rem in core if rem]
 
 
+# no library caller; kept while wlpbench/tracer.py binds it (ROADMAP item 12)
 def rank_int_rows(rows, ncols: int) -> int:
     """Exact rank over Q of integer rows."""
     return IntRowEchelon(ncols).extend(rows)

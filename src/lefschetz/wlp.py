@@ -25,13 +25,6 @@ map, and a failure its failing degrees and at most the two steps around
 them. DegreeReport.path says which of the three gave a degree its rank,
 or that a computed rank was read from an integer one (below).
 
-Work shared across characteristics. The all-ones form's rows F*m are the
-same 0/1 rows in every field, so for an ideal with polynomial generators
-_rows builds them once per degree and keeps them in the MonomialPart of I,
-for every ideal with that monomial part; every other form builds its own.
-A monomial ideal's all-ones map is instead read off the paper's passage to
-R/(I, L), in r - 1 variables.
-
 Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
 L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
 and J the ideal of S generated by the images of I's generators under
@@ -161,13 +154,10 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     """Rank of x F : (R/I)_d -> (R/I)_de, what the rows F*m, m in std(d),
     add to the rank of the degree-de slice.
 
-    A copy of the cached echelon of the degree-de slice (left unchanged),
-    or a new empty echelon for a monomial ideal, whose slice rows are
-    empty, takes the rows of _rows until it reaches full rank."""
-    if cache.poly_gens:
-        ech = cache.echelon(de).copy()
-    else:
-        ech = IntRowEchelon(len(cache.std(de)), cache.field.characteristic)
+    A copy of the cached echelon of the degree-de slice (left unchanged,
+    and empty for a monomial ideal) takes the rows of _rows until it
+    reaches full rank."""
+    ech = cache.echelon(de).copy()
     slice_rank = ech.rank
     return ech.extend(_rows(cache, F, d, de)) - slice_rank
 
@@ -178,19 +168,8 @@ def _rows(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int):
     monomial, LM(F)*m when that is standard, and every monomial of the
     rows F*m' before it is below LM(F)*m, because m' < m. So most rows
     meet no earlier row in their lead column and become pivots without an
-    update.
-
-    The all-ones form's rows for an ideal with polynomial generators are
-    the part's ones_rows, built on first use in any field: their entries
-    are 1, and the kernel never mutates a row."""
-    monomials = cache.std(d)[::-1]
-    if not (cache.poly_gens and _is_all_ones(F, cache.I.num_vars)):
-        return cache.multiple_rows(F, monomials, de)
-    shared = cache.shared.ones_rows
-    rows = shared.get(d)
-    if rows is None:
-        rows = shared[d] = tuple(cache.multiple_rows(F, monomials, de))
-    return rows
+    update."""
+    return cache.multiple_rows(F, cache.std(d)[::-1], de)
 
 
 def _split_map(cache: SliceCache, L: HomogeneousPolynomial, d: int) -> tuple:

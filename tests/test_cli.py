@@ -95,11 +95,25 @@ def test_usage_error_bad_char(capsys):
     assert exc.value.code == 2
 
 
-def test_usage_error_char_too_large_for_int64_ranks(capsys):
+def test_wlp_char_past_2_32_decides_levelaci_failure(capsys):
+    # 11448649999 divides det M of LevelAci(3, 10, 17, 16); every prime
+    # that is_prime decides is a --char
+    code, out = run(capsys, "wlp", "--family", "levelaci", "--alpha", "3",
+                    "--beta", "10", "--gamma", "17", "--t", "16",
+                    "--char", "11448649999", "--json")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["char"] == 11448649999
+    assert not rec["has_wlp"] and rec["conclusive"]
+    assert rec["failure_degrees"] == [34]
+
+
+def test_usage_error_char_past_what_is_prime_decides(capsys):
+    char = "3317044064679887385961981"  # psi_13
     with pytest.raises(SystemExit) as exc:
-        main(["wlp", "--gens", "x^2,y^2", "--vars", "x,y",
-              "--char", "2199023255579"])
+        main(["wlp", "--gens", "x^2,y^2", "--vars", "x,y", "--char", char])
     assert exc.value.code == 2
+    assert f"--char {char}" in capsys.readouterr().err
 
 
 def test_csv_flag_rejected(capsys):
@@ -205,12 +219,10 @@ def test_sweep_cap_enforced(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("char", ["4", "3037000507",
-                                  "3317044064679887385961981"])
+@pytest.mark.parametrize("char", ["4", "3317044064679887385961981"])
 def test_sweep_char_checked_as_for_wlp(tmp_path, capsys, char):
-    # the first two ran or left an empty .jsonl: 4 is not prime, and the
-    # prime 3037000507 is above MAX_MOD_RANK_PRIME, which wlp refuses; the
-    # third is past what is_prime decides, and must be named as a --char
+    # the first ran or left an empty .jsonl: 4 is not prime; the second is
+    # past what is_prime decides, and must be named as a --char
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "half-conj", "--max-sum", "3", "--tspan",
               "0", "--char", char, "--out", str(tmp_path / "x.jsonl")])

@@ -12,7 +12,7 @@ from lefschetz.matrices import IntRowEchelon, mod_rank, rank_int_rows
 domainmatrix = pytest.importorskip("sympy.polys.matrices")
 sympy_domains = pytest.importorskip("sympy.polys.domains")
 
-PRIMES = [2, 3, 7, 2**31 - 1, 3037000493]
+PRIMES = [2, 3, 7, 2**31 - 1, 3037000493, 18446744073709551629]  # 2^64 + 13
 
 
 def oracle_rank(rows, ncols, domain) -> int:

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.fields import GF, QQ
-from lefschetz.matrices import (MAX_MOD_RANK_PRIME, IntRowEchelon,
-                                clear_denominators, det_integer, factor,
-                                gcd_of_maximal_minors, mod_rank, rank_int_rows,
-                                unit_split)
+from lefschetz.matrices import (IntRowEchelon, clear_denominators,
+                                det_integer, factor, gcd_of_maximal_minors,
+                                mod_rank, rank_int_rows, unit_split)
 from oracles import det_cofactor, rank_rows
 
 
@@ -24,12 +23,6 @@ def test_mod_rank_dependent_rows():
     assert mod_rank(rows, 3, 101) == 2
 
 
-def test_mod_rank_rejects_primes_that_overflow_int64():
-    # a 41-bit prime: p*p overflows int64, which used to give wrong ranks
-    with pytest.raises(ValueError):
-        mod_rank([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 2199023255579)
-
-
 @pytest.mark.parametrize("p", [0, 1, 4, 2**31])
 def test_mod_rank_rejects_non_primes(p):
     # p = 0 used to give the rank over Q, p = 1 rank 0, p = 4 a pow error
@@ -40,9 +33,10 @@ def test_mod_rank_rejects_non_primes(p):
             IntRowEchelon(2, p)
 
 
-def test_mod_rank_exact_at_the_largest_allowed_prime():
-    p = 3037000493  # the largest prime with p*p < 2^63
-    assert p <= MAX_MOD_RANK_PRIME
+# the largest prime with p*p < 2^63, a prime past 2^32, the least past 2^64
+@pytest.mark.parametrize("p", [3037000493, 11448649999,
+                               18446744073709551629])
+def test_mod_rank_exact_on_rank_one_rows_at_large_primes(p):
     rng = random.Random(4)
     for _ in range(50):
         u = [rng.randrange(1, p) for _ in range(3)]

@@ -170,3 +170,16 @@ def test_det_zero_point_outside_the_conjecture_cases_fails(point):
         assert verdict.failure_degrees == slow.failure_degrees == failures
         assert ([(r.d, r.rank) for r in verdict.reports]
                 == [(r.d, r.rank) for r in slow.reports])
+
+
+def test_levelaci_fails_over_a_prime_past_2_32_that_divides_det_m():
+    # 11448649999, past 2^32, is the largest prime factor of det M at
+    # LevelAci(3, 10, 17, 16)
+    p, point = 11448649999, (3, 10, 17, 16)
+    assert criterion_report(*point).fails_in(p)
+    field = GF(p)
+    I = make_ideal(LevelAci(*point), field)
+    verdict = wlp.wlp_check(I, field)
+    assert not verdict.has_wlp and verdict.conclusive
+    assert (verdict.failure_degrees
+            == wlp.wlp_check(I, field, full_scan=True).failure_degrees == [34])

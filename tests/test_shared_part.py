@@ -1,8 +1,7 @@
 """The field-independent part of the slice engine (standard monomials, their
 column index and the socle) is shared
 between characteristics and between equal monomial parts through the
-ideals.monomial_part memo, and so are the all-ones rows F*m of each degree
-of an ideal with polynomial generators, and a monomial ideal's Hilbert
+ideals.monomial_part memo, and so are a monomial ideal's Hilbert
 profile, level flag, restriction to r - 1 variables and the unit splits
 over Z of its slices, which give the all-ones maps' ranks that every later
 decision of that ideal reads, in any characteristic. Every answer given
@@ -304,10 +303,10 @@ def _shared_steps(ascending):
 @pytest.mark.parametrize("ascending", [True, False])
 def test_shared_rows_and_profiles_give_the_answers_of_a_cleared_memo(
         ascending):
-    """The all-ones rows and the part's standard monomials, made in one field
-    or for one ideal, answer as with a memo cleared before every call: for
-    another form, in another degree, and for a non-monomial ideal with the
-    same monomial part, whose profile is its own."""
+    """The part's standard monomials and a monomial ideal's splits, made in
+    one field or for one ideal, answer as with a memo cleared before every
+    call: for another form, in another degree, and for a non-monomial ideal
+    with the same monomial part, whose profile is its own."""
     monomial_part.cache_clear()
     steps = list(_shared_steps(ascending))
     shared = [call() for _, call in steps]
@@ -373,9 +372,10 @@ def test_monomial_profile_builds_no_echelon(monkeypatch, spec, first,
                                               (Irr(4), False), (Jr(4), True)])
 def test_only_polynomial_generators_give_maps_a_slice_echelon(
         monkeypatch, spec, has_slices):
-    """The maps of a monomial ideal start from a new empty echelon: deciding
-    it, in char 0 and then in char p, builds and copies no slice echelon.
-    An ideal with polynomial generators starts from its slice echelons."""
+    """A monomial ideal's all-ones maps are read off its restriction J:
+    deciding it, in char 0 and then in char p, builds and copies no slice
+    echelon. An ideal with polynomial generators starts its maps from its
+    slice echelons."""
     asked = []
     echelon = SliceCache.echelon
 

@@ -23,8 +23,8 @@ DIR is a checkout of the revision to compare against (for instance a
   non-monomial ideal's Hilbert profile and verdicts), and
   ``hilbert --family irr --r 5 --char 2 --char 0 --json`` and
   ``wlp --family jr --r 4 --char 2 --char 0 --char 5 --json`` (the
-  monomial part's standard monomials and all-ones rows first made in char
-  p, then read in char 0), and ``hilbert --gens x^2,y^3 --vars x,y,z
+  monomial part's standard monomials first made in char p, then read in
+  char 0), and ``hilbert --gens x^2,y^3 --vars x,y,z
   --char 0 --char 2`` (a non-Artinian monomial ideal, whose exit code
   comes from the NotArtinianError raised in each field): exit code and
   stdout;
@@ -45,6 +45,9 @@ DIR is a checkout of the revision to compare against (for instance a
   every case of the level conjecture (all-ones maps whose rank is read
   off the restriction to r - 1 variables with the core furthest from the
   map's own): exit code and stdout;
+- ``wlp --family levelaci --alpha 3 --beta 10 --gamma 17 --t 16 --char
+  11448649999 --json``, a prime past 2^32 that divides det M: exit code
+  and stdout;
 - ``wlp --family jr --r 5 --char 3 --char 5 --char 7 --json`` and
   ``wlp --family jr --r 4 --char 5 --strategy random --trials 8 --json``
   (long failing searches, each reported from its last distinct form while
@@ -140,7 +143,11 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                  str(b), "--gamma", str(g), "--t", str(t), "--char", "0",
                  "--char", "2", "--json"])
                for a, b, g, t in ((2, 9, 13, 9), (3, 7, 14, 9))]
-            + [("wlp Jr(5) chars 3, 5, 7 --json",
+            + [("wlp LevelAci(3,10,17,16) char 11448649999 --json",
+                ["wlp", "--family", "levelaci", "--alpha", "3", "--beta", "10",
+                 "--gamma", "17", "--t", "16", "--char", "11448649999",
+                 "--json"]),
+               ("wlp Jr(5) chars 3, 5, 7 --json",
                 ["wlp", "--family", "jr", "--r", "5", "--char", "3",
                  "--char", "5", "--char", "7", "--json"]),
                ("wlp Jr(4) char 5 --strategy random --trials 8 --json",
