@@ -16,25 +16,47 @@ and Sturmfels, Combinatorial Commutative Algebra, ch. 5). A ``SliceCache``
 holds one part and adds only the field-dependent echelons of the
 non-monomial slice rows, so an ideal decided in several characteristics, or
 two ideals with an equal monomial part, enumerate their monomials once, and
-a monomial ideal builds no echelon for its Hilbert profile. The part also
-keeps the generators of the monomial ideal's restriction J to r - 1
-variables, and the unit split over Z of the slices of J, which answers the
-rank of each all-ones map of the monomial ideal in every characteristic;
-and the monomial ideal's Hilbert profile (a ``HilbertProfile``, the one
-type for Hilbert functions and h-vectors) and level flag, which a decision
-in a further characteristic reads. The engine decides the Artinian test,
+a monomial ideal builds no echelon for its Hilbert profile. For the
+monomial ideal itself the part also owns its Hilbert profile (a
+``HilbertProfile``, the one type for Hilbert functions and h-vectors),
+whether its quotient is level, and the rank of each all-ones map in every
+characteristic, by the lemma below. The engine decides the Artinian test,
 and owns the Hilbert profile of an ideal with polynomial generators.
+
+Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
+L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
+and J the ideal of S generated by the images of I's generators under
+x_1 -> -(x_2 + ... + x_r). Let n be the number of standard monomials of
+degree d + 1 free of x_1, and (k', C') the unit split over Z
+(``matrices.unit_split``) of the rows of J's degree-(d+1) slice, written
+on the standard monomials of J's monomial generators. Then in every field
+F, x L : A_d -> A_{d+1} has rank h_{d+1} - n + k' + rank_F(C').
+
+Proof. The substitution is a ring map R -> S over Z, onto with kernel
+(L), so R/(I + (L)) and S/J are isomorphic, and stay so after tensoring
+with F, where J is generated by the same images. In degree d + 1 the left
+side is the cokernel of x L, so the rank is h_{d+1} - dim_F (S/J)_{d+1}.
+J's monomial generators are those of I free of x_1; a generator with x_1
+divides no monomial free of it, so their standard monomials of degree
+d + 1 are the n standard ones of I free of x_1. Modulo them, J_{d+1} is
+spanned by the rows g*m, for the image g of each other generator and each
+monomial m of S of degree d + 1 - deg g, projected on those n monomials
+(zero unless m is standard too). So dim_F (S/J)_{d+1} = n - rank_F(rows)
+= n - k' - rank_F(C'), by the unit split's lemma (``matrices``). Each
+image's sign (-1)^a is a unit, and a term with an exponent at or past a
+pure power of J projects to zero times every m, so dropping either
+changes no row's span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from operator import add, le
 
 from .fields import QQ, FieldSpec
-from .matrices import IntRowEchelon, clear_denominators
+from .matrices import IntRowEchelon, clear_denominators, unit_split
 from .rings import (HomogeneousPolynomial, parse_generators, poly_add,
                     poly_mul, poly_pow)
 
@@ -177,26 +199,17 @@ class MonomialPart:
     integer terms of its other generators. ``restriction_rows`` builds
     the rows of its slices from them.
 
-    ``all_ones`` maps a degree d to (k, core, rank over Q of the core,
-    D') for the all-ones map A_d -> A_{d+1} of the monomial ideal itself:
-    the rows of J's degree-(d + 1) slice split over Z into k' pivots with
-    lead +-1 and the core rows (``matrices.unit_split``), k = h_{d+1} - n
-    + k' for the n standard monomials of J in that degree, so that the
-    map's rank in every field is k plus the core's (``wlp``'s restriction
-    lemma), and D' is the lead product of the core's echelon over Z, which
-    gives the core's rank over F_p for every p that does not divide it
-    (the lemmas of ``matrices``). The first ``wlp_check`` of the monomial
-    ideal that needs degree d fills it, in any characteristic, and every
-    later decision of that ideal with the all-ones form reads it; an ideal
-    with other generators shares the part but not these splits.
-
-    ``profile`` is the ``HilbertProfile`` of the monomial ideal itself and
-    ``level`` whether its quotient is level, each None until first needed.
-    ``SliceCache.profile`` fills the first after the engine's Artinian
-    check, so a part without a pure power of every variable never has one;
-    ``wlp.wlp_check`` fills the second from ``socle_report``. Every later
-    engine of the monomial ideal, in any field, reads them; an ideal with
-    other generators shares the part but has its own profile."""
+    For the monomial ideal itself, the part owns what every decision of it
+    reads, in any field. ``profile`` is its ``HilbertProfile``, None until
+    ``SliceCache.profile`` fills it after the engine's Artinian check, so a
+    part without a pure power of every variable never has one.
+    ``is_level`` says whether its quotient is level. ``all_ones_rank``
+    gives the rank of each all-ones map A_d -> A_{d+1} in every
+    characteristic, from the entry ``all_ones[d]`` = (k, core, rank over Q
+    of the core, D') that its first call for d fills (the restriction
+    lemma of the module docstring). This module fills them; every other
+    only reads them. An ideal with other generators shares the part but
+    has its own profile, and none of these describe its quotient."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -215,7 +228,6 @@ class MonomialPart:
         self._socle: tuple | None = None
         self.all_ones: dict[int, tuple] = {}
         self.profile: HilbertProfile | None = None
-        self.level: bool | None = None
         self._restriction: tuple | None = None
 
     def std(self, d: int) -> tuple:
@@ -270,7 +282,8 @@ class MonomialPart:
     def restriction(self) -> tuple:
         """(part, images) for J, the image of the monomial ideal in
         S = Z[x_2, ..., x_r] under x_1 -> -(x_2 + ... + x_r), with the
-        sign of each image, a unit, dropped (``wlp``'s restriction lemma).
+        sign of each image, a unit, dropped (the restriction lemma of the
+        module docstring).
 
         ``part`` is the MonomialPart of J's monomial generators, those of
         the ideal free of x_1, in r - 1 variables. It is built here, not
@@ -298,18 +311,71 @@ class MonomialPart:
         return self._restriction
 
     def restriction_rows(self, e: int):
-        """Yield the rows g*m of J's degree-e slice (``restriction``), on
-        the standard monomials of its monomial part in degree e, as
-        {column: entry} dicts: for each image g, in order, and m in the
-        part's std(e - deg g)[::-1], the order ``wlp._rows`` states for its
-        rows. Empty rows are skipped. The rows are built as they are
-        taken, so a consumer that stops at full rank builds no more."""
+        """Yield the nonempty rows g*m of J's degree-e slice
+        (``restriction``) on the standard monomials of its monomial part,
+        as {column: entry} dicts, in the order of ``_slice_rows``. The rows
+        are built as they are taken, so a consumer that stops at full rank
+        builds no more."""
         part, images = self.restriction()
-        idx = part.index(e)
-        for degree, terms in images:
-            if degree <= e:
-                yield from filter(None, _product_rows(
-                    terms, part.std(e - degree)[::-1], idx))
+        return _slice_rows(images, part, e)
+
+    def all_ones_rank(self, d: int, p: int) -> tuple[int, bool]:
+        """(rank, read) for the all-ones map x L : A_d -> A_{d+1} of the
+        monomial ideal over a field of characteristic p, by the restriction
+        lemma (the module docstring).
+
+        The first call for d splits the rows of J's degree-(d+1) slice
+        over Z on its n standard monomials (``matrices.unit_split``) into
+        k' unit pivots and a core, and eliminates the core over Z once: it
+        keeps ``all_ones[d]`` = (k, core, rank over Q of the core, D'),
+        k = h_{d+1} - n + k' and D' the core echelon's lead product, and
+        read is False. Every later call, for any p, reads that entry, and
+        read is True. The rank is k + rank_Q(core) when p does not divide
+        D' (p = 0 included), which is then the core's rank over F_p (the
+        lemmas of ``matrices``), and otherwise k plus the core eliminated
+        mod p on J's n columns. No prime that lowers the rank is hidden:
+        each divides D'."""
+        entry = self.all_ones.get(d)
+        read = entry is not None
+        if not read:
+            n = len(self.restriction()[0].std(d + 1))
+            k, core = unit_split(self.restriction_rows(d + 1), n)
+            ech = IntRowEchelon(n)
+            entry = self.all_ones[d] = (len(self.std(d + 1)) - n + k,
+                                        tuple(core), ech.extend(core),
+                                        ech.lead_product)
+        k, core, rank, lead = entry
+        if p and not lead % p:
+            n = len(self.restriction()[0].std(d + 1))
+            rank = IntRowEchelon(n, p).extend(core)
+        return k + rank, read
+
+    @cached_property
+    def is_level(self) -> bool:
+        """Whether the quotient is level: its socle, sorted by degree, has
+        its first and last monomial in one degree. NotArtinianError, with
+        ``reason``, as for ``socle``."""
+        socle = self.socle()
+        return sum(socle[0]) == sum(socle[-1])
+
+
+def _slice_rows(gens, part: MonomialPart, e: int):
+    """Yield the nonempty rows g*m of the degree-e slice of gens, on the
+    standard monomials of part, as {column: entry} dicts: for each
+    (degree, terms) pair of gens in order, terms the (exponent, integer
+    coefficient) pairs of g, and each m in part.std(e - deg g)[::-1].
+
+    That order, m ascending in canonical order, is the one every row the
+    slice engine eliminates takes, the rows F*m of a map (``wlp._map_rank``)
+    included. A row pivots on its leading monomial, LM(g)*m when that is
+    standard, and every monomial of the rows g*m' before it is below
+    LM(g)*m, because m' < m. So most rows meet no earlier row in their lead
+    column and become pivots without an update (``matrices``)."""
+    idx = part.index(e)
+    for degree, terms in gens:
+        if degree <= e:
+            yield from filter(None, _product_rows(
+                terms, part.std(e - degree)[::-1], idx))
 
 
 def _product_rows(terms, monomials, idx: dict):
@@ -376,7 +442,9 @@ class SliceCache:
         _require_nonzero(I.generators, field)
         self.I = I
         self.field = field
-        self.poly_gens = I.polynomial_generators
+        # (degree, terms scaled once) of each polynomial generator
+        self.poly_gens = [(g.degree, self._scaled_terms(g))
+                          for g in I.generators if not g.is_term]
         self.shared = monomial_part(
             I.num_vars, tuple(sorted(set(I.monomial_generators))))
         self._ech: dict[int, IntRowEchelon] = {}
@@ -406,21 +474,12 @@ class SliceCache:
     def slice_rows(self, d: int) -> list:
         """Sparse integer (char 0) or residue (char p) rows spanning the
         non-monomial part of the ideal slice in degree d, projected to
-        standard monomials: the nonempty rows g*m, for each polynomial
-        generator g and m in std(d - deg g)[::-1]. A non-standard m gives
-        an empty row (every term of g*m lies in the monomial part), and so
-        do many standard ones in high degrees; neither is kept.
-
-        The order is the one wlp._rows states for its rows: m ascending in
-        canonical order, so that the lead LM(g)*m of a row, when standard,
-        meets no earlier row of g, and most rows become pivots without an
-        update."""
-        rows = []
-        for g in self.poly_gens:
-            if g.degree <= d:
-                rows += filter(None, self.multiple_rows(
-                    g, self.std(d - g.degree)[::-1], d))
-        return rows
+        standard monomials: the nonempty rows g*m of ``_slice_rows``, for
+        each polynomial generator g, scaled as in multiple_rows, and m in
+        std(d - deg g). A non-standard m gives an empty row (every term of
+        g*m lies in the monomial part), and so do many standard ones in
+        high degrees; neither is kept."""
+        return list(_slice_rows(self.poly_gens, self.shared, d))
 
     def multiple_rows(self, poly: HomogeneousPolynomial, monomials,
                       d: int) -> list:
@@ -588,7 +647,7 @@ def socle_report(I: HomogeneousIdeal,
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
     socle = list(cache.shared.socle())
     degrees = sorted(sum(m) for m in socle)
-    return SocleReport(socle, degrees, len(socle), len(set(degrees)) <= 1)
+    return SocleReport(socle, degrees, len(socle), cache.shared.is_level)
 
 
 def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,

@@ -12,10 +12,9 @@ exact. Determinants and minor gcds take a matrix as a list of int rows.
 
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
-insertion order sets the fill (``wlp._rows`` states its order, and
-``ideals.SliceCache.slice_rows`` and
-``ideals.MonomialPart.restriction_rows`` take the same). The kernel mutates
-neither a row it is given nor a stored pivot.
+insertion order sets the fill (``ideals._slice_rows`` states the order
+every row of the slice engine takes). The kernel mutates neither a row it
+is given nor a stored pivot.
 
 Over Z an echelon also keeps, for each remainder it stored, its lead entry
 before it was made primitive, and the scalings a/gcd(a, c) applied to its
@@ -64,12 +63,13 @@ J), and then y C' = 0: the rows of P and C' are independent in F exactly
 when those of C' are. Since rank_F(C') may still drop mod p after C' has
 full rank over Q, the split stops early only when k = ncols.
 
-``wlp`` splits, for a monomial ideal's all-ones map x L : A_d -> A_{d+1},
-not the map's own h_d rows but the rows of the degree-(d+1) slice of J,
-the image of I in r - 1 variables under x_1 -> -(x_2 + ... + x_r): the
-map's cokernel is (S/J)_{d+1} over Z, hence in every field, and the
-map's rank is h_{d+1} - n + k + rank_F(C'), n the number of columns of
-J's rows (the restriction lemma of ``wlp``, with its proof). At every
+``ideals.MonomialPart.all_ones_rank`` splits, for a monomial ideal's
+all-ones map x L : A_d -> A_{d+1}, not the map's own h_d rows but the
+rows of the degree-(d+1) slice of J, the image of I in r - 1 variables
+under x_1 -> -(x_2 + ... + x_r): the map's cokernel is (S/J)_{d+1} over
+Z, hence in every field, and the map's rank is h_{d+1} - n + k +
+rank_F(C'), n the number of columns of J's rows (the restriction lemma
+of ``ideals``, with its proof). At every
 plateau of ``sweeps.level_aci_grid(12, 4)`` its core has at most 6 rows,
 where the map itself has up to 96.
 

@@ -25,49 +25,18 @@ map, and a failure its failing degrees and at most the two steps around
 them. DegreeReport.path says which of the three gave a degree its rank,
 or that a computed rank was read from an integer one (below).
 
-Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
-L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
-and J the ideal of S generated by the images of I's generators under
-x_1 -> -(x_2 + ... + x_r). Let n be the number of standard monomials of
-degree d + 1 free of x_1, and (k', C') the unit split over Z
-(``matrices.unit_split``) of the rows of J's degree-(d+1) slice, written
-on the standard monomials of J's monomial generators. Then in every field
-F, x L : A_d -> A_{d+1} has rank h_{d+1} - n + k' + rank_F(C').
-
-Proof. The substitution is a ring map R -> S over Z, onto with kernel
-(L), so R/(I + (L)) and S/J are isomorphic, and stay so after tensoring
-with F, where J is generated by the same images. In degree d + 1 the left
-side is the cokernel of x L, so the rank is h_{d+1} - dim_F (S/J)_{d+1}.
-J's monomial generators are those of I free of x_1; a generator with x_1
-divides no monomial free of it, so their standard monomials of degree
-d + 1 are the n standard ones of I free of x_1. Modulo them, J_{d+1} is
-spanned by the rows g*m, for the image g of each other generator and each
-monomial m of S of degree d + 1 - deg g, projected on those n monomials
-(zero unless m is standard too). So dim_F (S/J)_{d+1} = n - rank_F(rows)
-= n - k' - rank_F(C'), by the unit split's lemma (``matrices``). Each
-image's sign (-1)^a is a unit, and a term with an exponent at or past a
-pure power of J projects to zero times every m, so dropping either
-changes no row's span.
-
-The first decision of a monomial ideal that needs a degree, in any
-characteristic, splits the rows of J's slice over Z once. The part keeps
-J's generators (``MonomialPart.restriction``) and builds the rows as the
-split takes them (``MonomialPart.restriction_rows``), so that none is
-built past full rank. One echelon over Z of the core gives rank_Q(C') and
-its lead product D' (the lemma of ``matrices``), and the part keeps
-(k, C', rank_Q(C'), D'), k = h_{d+1} - n + k', so that rank_F = k +
-rank_F(C') in every field F. Every later decision of that ideal, char 0 or
-p, reads the map's rank from them: k + rank_Q(C') when p does not divide
-D', which is then the rank over F_p, and otherwise k plus the rank of C'
-eliminated mod p. No prime that lowers the rank is hidden: each divides D'.
-The full scan, mult_map_rank and kernel_witness neither read nor fill these
-splits: they eliminate the rows F*m of the map itself, so they check the
-lemma independently. The part also keeps a monomial ideal's Hilbert profile
-and level flag: the first decision fills them through hilbert_profile and
-socle_report, and every later one, in any field, reads them. So a decision
-in a further characteristic enumerates nothing and builds no profile or
-socle report; it reads h once, padded with h_{D+1} = 0, and builds each
-DegreeReport and the failure degrees in one pass.
+Work shared across characteristics. A monomial ideal's MonomialPart owns
+its Hilbert profile, whether it is level, and the rank of its all-ones map
+in each degree (``MonomialPart.all_ones_rank``, by the restriction lemma
+of ``ideals``): the first decision that needs a degree, in any
+characteristic, splits the rows of the restriction's slice over Z once,
+and every later decision of that ideal, char 0 or p, reads the rank from
+that split (path INTEGER). So a decision in a further characteristic
+enumerates nothing and builds no profile or socle; it reads h once,
+padded with h_{D+1} = 0, and builds each DegreeReport and the failure
+degrees in one pass. The full scan, mult_map_rank and kernel_witness
+neither read nor fill these splits: they eliminate the rows F*m of the map
+itself, so they check the lemma independently.
 
 Candidate forms: wlp_check tries the given forms in order, each distinct
 form once, and any success certifies the WLP. By default it tries
@@ -90,9 +59,8 @@ import random
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
-                     slice_engine, socle_report)
-from .matrices import IntRowEchelon, clear_denominators, unit_split
+from .ideals import HomogeneousIdeal, SliceCache, hilbert_profile, slice_engine
+from .matrices import clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
 DEFAULT_SEED = 0xC0C0A
@@ -105,7 +73,7 @@ _PROVEN_SPECIAL_R = (3, 4)
 
 # how a DegreeReport's rank was obtained
 COMPUTED = "computed"
-INTEGER = "read from the integer rank"  # of an earlier decision's split
+INTEGER = "read from the integer rank"  # MonomialPart.all_ones_rank
 UP = "propagated up"  # from a surjective step below, Prop. 2.1(a)
 DOWN = "propagated down"  # from an injective step above, Prop. 2.1(b)
 
@@ -155,45 +123,12 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     add to the rank of the degree-de slice.
 
     A copy of the cached echelon of the degree-de slice (left unchanged,
-    and empty for a monomial ideal) takes the rows of _rows until it
-    reaches full rank."""
+    and empty for a monomial ideal) takes the rows F*m, m in the order of
+    ``ideals._slice_rows``, until it reaches full rank."""
     ech = cache.echelon(de).copy()
     slice_rank = ech.rank
-    return ech.extend(_rows(cache, F, d, de)) - slice_rank
-
-
-def _rows(cache: SliceCache, F: HomogeneousPolynomial, d: int, de: int):
-    """The sparse rows F*m on the degree-de standard monomials, for m in
-    ascending canonical order, std(d)[::-1]. A row pivots on its leading
-    monomial, LM(F)*m when that is standard, and every monomial of the
-    rows F*m' before it is below LM(F)*m, because m' < m. So most rows
-    meet no earlier row in their lead column and become pivots without an
-    update."""
-    return cache.multiple_rows(F, cache.std(d)[::-1], de)
-
-
-def _split_map(cache: SliceCache, L: HomogeneousPolynomial, d: int) -> tuple:
-    """The all_ones entry of a monomial ideal's all-ones map x L : A_d ->
-    A_{d+1}, by the restriction lemma (the module docstring): (h_{d+1} - n
-    + k, core, rank over Q of the core, D'), from the unit split of the
-    rows of J's degree-(d+1) slice on its n standard monomials and one
-    echelon over Z of the core, whose lead_product is D'."""
-    part = cache.shared
-    n = len(part.restriction()[0].std(d + 1))
-    k, core = unit_split(part.restriction_rows(d + 1), n)
-    ech = IntRowEchelon(n)
-    return (len(cache.std(d + 1)) - n + k, tuple(core), ech.extend(core),
-            ech.lead_product)
-
-
-def _split_rank(entry: tuple, p: int, ncols: int) -> int:
-    """The rank over a field of characteristic p of the map of an all_ones
-    entry: k plus the core's rank, read when p does not divide D' (p = 0
-    included), else the core eliminated mod p."""
-    k, core, rank, lead = entry
-    if p and not lead % p:
-        rank = IntRowEchelon(ncols, p).extend(core)
-    return k + rank
+    rows = cache.multiple_rows(F, cache.std(d)[::-1], de)
+    return ech.extend(rows) - slice_rank
 
 
 def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
@@ -245,7 +180,7 @@ class _Failing(Exception):
     """A computed degree of a dropped form is not maximal."""
 
 
-def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
+def _verdict_for_form(cache, L, profile, level, full_scan, part=None,
                       last=True) -> WLPVerdict:
     """Every degree's rank of x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, by
     the rule of the module docstring: scan up from the first step with
@@ -255,10 +190,9 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
     degrees above d_s and below d_i off h, and compute each one between
     once.
 
-    integer is the MonomialPart's all_ones memo when L is the all-ones
-    form of a monomial ideal, else None: a degree with no entry is split
-    and filled, one with an entry is read (the module docstring), in any
-    characteristic.
+    part is the monomial ideal's MonomialPart when L is its all-ones form,
+    else None: each rank then comes from part.all_ones_rank, which splits
+    or reads (the module docstring), in any characteristic.
 
     full_scan is the oracle the propagation is tested against: it scans
     up from degree 0 and reads nothing down.
@@ -270,22 +204,18 @@ def _verdict_for_form(cache, L, profile, level, full_scan, integer=None,
     D = profile.socle_degree
     p = cache.field.characteristic
     ranks = {}
-    read = set()  # degrees whose rank came from integer
+    read = set()  # degrees whose rank was read from an earlier split
 
     def rank(d):
         if d not in ranks:  # h_d > 0 for d <= D; no map to a zero space
             if not h[d + 1]:
                 ranks[d] = 0
-            elif integer is None:
+            elif part is None:
                 ranks[d] = _map_rank(cache, L, d, d + 1)
             else:
-                entry = integer.get(d)
-                if entry is None:
-                    entry = integer[d] = _split_map(cache, L, d)
-                else:
+                ranks[d], was_read = part.all_ones_rank(d, p)
+                if was_read:
                     read.add(d)
-                # a monomial ideal's h_{d+1} counts the map's columns
-                ranks[d] = _split_rank(entry, p, h[d + 1])
             if not last and ranks[d] < min(h[d], h[d + 1]):
                 raise _Failing
         return ranks[d]
@@ -350,19 +280,16 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
     forms = candidate_forms(I, field) if forms is None else _distinct(forms)
     _require_forms(cache, forms)
     profile = hilbert_profile(I, field, cache)
-    level, integer = False, None
-    if I.is_monomial:  # the part's field-independent facts, filled once
-        part = cache.shared
-        if part.level is None:
-            part.level = socle_report(I, cache).is_level
-        level = part.level
+    level, part = False, None
+    if I.is_monomial:  # the part's field-independent facts
+        level = cache.shared.is_level
         # the all-ones splits over Z, but never for the full-scan oracle
-        integer = None if full_scan else part.all_ones
+        part = None if full_scan else cache.shared
     for n, L in enumerate(forms, 1):
-        ranks = integer if _is_all_ones(L, I.num_vars) else None
+        ones = part if _is_all_ones(L, I.num_vars) else None
         try:
             verdict = _verdict_for_form(cache, L, profile, level, full_scan,
-                                        ranks, last=n == len(forms))
+                                        ones, last=n == len(forms))
         except _Failing:
             continue  # fails; only the last form's report is returned
         verdict.forms_tried = n

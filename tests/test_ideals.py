@@ -175,6 +175,8 @@ def test_socle_matches_definition(case):
         assert rep.socle_degrees == degrees
         assert rep.cm_type == len(socle)
         assert rep.is_level == (len(set(degrees)) <= 1)
+    part = MonomialPart(r, tuple(sorted(set(gens))))
+    assert part.is_level == (len(set(degrees)) <= 1)
 
 
 def _monomial_gens(spec):

@@ -7,9 +7,10 @@ as numbers rather than through verdicts:
   d = (a+b+c-4)/2 is square, and its |det| is MacMahon's count of plane
   partitions in an A x B x C box (Li-Zanello 2010);
 - where det M is nonzero, the lead product D' of the core of the unit
-  split that the char-0 decision keeps for the plateau map, made from the
-  slice of the restriction J of the ideal to r - 1 variables (the
-  restriction lemma of ``wlp``), is +-det M, so a char-p decision reads
+  split that the char-0 decision makes for the plateau map
+  (``MonomialPart.all_ones_rank``), from the slice of the restriction J
+  of the ideal to r - 1 variables (the restriction lemma of ``ideals``),
+  is +-det M, so a char-p decision reads
   that rank without eliminating exactly in the characteristics where the
   WLP holds.
 
@@ -99,8 +100,10 @@ def test_every_prime_of_det_M_divides_the_plateau_lead_product():
         I = make_ideal(LevelAci(*point), QQ)
         wlp_check(I, QQ)
         d = predicates(LevelAci(*point)).twin_peaks_degree
-        k, _, core_rank, lead_product = SliceCache(I, QQ).shared.all_ones[d]
-        rank = k + core_rank
+        part = SliceCache(I, QQ).shared
+        rank, read = part.all_ones_rank(d, 0)  # split by the decision
+        assert read
+        lead_product = part.all_ones[d][3]
         report = criterion_report(*point)
         assert (rank == len(SliceCache(I, QQ).std(d))) == (report.det != 0)
         if report.det:

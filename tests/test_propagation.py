@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from lefschetz import wlp
 from lefschetz.families import Irr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
-from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
-                              monomial_part, parse_ideal, socle_report)
+from lefschetz.ideals import (HomogeneousIdeal, MonomialPart, SliceCache,
+                              hilbert_profile, monomial_part, parse_ideal,
+                              socle_report)
 from lefschetz.rings import HomogeneousPolynomial
 from lefschetz.sweeps import level_aci_grid
 from lefschetz.wlp import COMPUTED, DOWN, INTEGER, UP, wlp_check
@@ -39,18 +40,24 @@ def count_maps(monkeypatch) -> list:
     """Record (form, d) for every map rank wlp_check computes: by an
     elimination in the decision's field (_map_rank), or, for a monomial
     ideal's all-ones map, by the unit split of the slice of its
-    restriction J to r - 1 variables (_split_map). A caller clears the
+    restriction J to r - 1 variables (a MonomialPart.all_ones_rank call
+    that does not read an earlier split). A caller clears the
     monomial_part memo before each counted decision."""
     calls = []
+    map_rank, all_ones_rank = wlp._map_rank, MonomialPart.all_ones_rank
 
-    def counting(compute):
-        def counted(cache, F, d, *de):
-            calls.append((frozenset(F.terms.items()), d))
-            return compute(cache, F, d, *de)
-        return counted
+    def counted_map(cache, F, d, de):
+        calls.append((frozenset(F.terms.items()), d))
+        return map_rank(cache, F, d, de)
 
-    for name in ("_map_rank", "_split_map"):
-        monkeypatch.setattr(wlp, name, counting(getattr(wlp, name)))
+    def counted_split(part, d, p):
+        rank, read = all_ones_rank(part, d, p)
+        if not read:
+            calls.append(("all-ones", d))
+        return rank, read
+
+    monkeypatch.setattr(wlp, "_map_rank", counted_map)
+    monkeypatch.setattr(MonomialPart, "all_ones_rank", counted_split)
     return calls
 
 
@@ -192,7 +199,7 @@ def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
         monomial_part.cache_clear()
         I = make_ideal(LevelAci(*point), QQ)
         wlp_check(I, QQ)
-        integer = SliceCache(I, QQ).shared.all_ones
+        part = SliceCache(I, QQ).shared
         for ch in LEVEL_CHARS[1:]:
             field = GF(ch)
             I = make_ideal(LevelAci(*point), field)
@@ -200,8 +207,10 @@ def test_char_p_reads_the_char_0_plateau_rank(monkeypatch):
             verdict = wlp_check(I, field)
             if verdict.has_wlp:
                 [plateau] = [r for r in verdict.reports if r.h_d == r.h_d1]
-                divides = integer[plateau.d][3] % ch == 0
                 assert not calls
+                assert (part.all_ones_rank(plateau.d, ch)
+                        == (plateau.rank, True))
+                divides = part.all_ones[plateau.d][3] % ch == 0
                 paths[divides].append(plateau.path)
             assert_paths_honest(assert_matches_full_scan(I, field, verdict))
     assert set(paths[False]) == {INTEGER}

@@ -2,7 +2,7 @@
 column index and the socle) is shared
 between characteristics and between equal monomial parts through the
 ideals.monomial_part memo, and so are a monomial ideal's Hilbert
-profile, level flag, restriction to r - 1 variables and the unit splits
+profile, levelness, restriction to r - 1 variables and the unit splits
 over Z of its slices, which give the all-ones maps' ranks that every later
 decision of that ideal reads, in any characteristic. Every answer given
 through the shared memo must be the one a cleared memo gives; only a
@@ -144,7 +144,7 @@ def test_second_characteristic_enumerates_nothing(monkeypatch, spec, first,
     """Decisions after the first, in another field or with the generators
     in another order, enumerate no standard monomial and build no
     SocleReport. A monomial ideal builds no HilbertProfile either: it reads
-    its part's profile and level flag. J_4 builds its own profile."""
+    its part's profile and levelness. J_4 builds its own profile."""
     calls = []
     for name in ("standard_monomial_tuples", "HilbertProfile", "SocleReport"):
         def counted(*args, name=name, build=getattr(ideals, name)):
@@ -199,11 +199,17 @@ def test_non_artinian_part_raises_the_same_reason_in_every_field(
 def test_level_flag_filled_in_char_p_is_read_in_char_0():
     """The non-level (x^5, y^5, z^2, xy^4, y^2z, xz), decided over GF(2) and
     then over QQ, is scanned down in neither: read as level, its failing
-    degree 2 would be taken for injective."""
+    degree 2 would be taken for injective. Both decisions read the
+    levelness of the one shared part (MonomialPart.is_level)."""
     gens = "x^5,y^5,z^2,x*y^4,y^2*z,x*z"
     monomial_part.cache_clear()
-    wlp_check(parse_ideal(gens, XYZ, GF(2)), GF(2))
-    got = wlp_check(parse_ideal(gens, XYZ, QQ), QQ)
+    I = parse_ideal(gens, XYZ, GF(2))
+    wlp_check(I, GF(2))
+    part = SliceCache(I, GF(2)).shared
+    assert part.is_level is False
+    J = parse_ideal(gens, XYZ, QQ)
+    assert SliceCache(J, QQ).shared is part
+    got = wlp_check(J, QQ)
     assert DOWN not in {r.path for r in got.reports}
     assert got.failure_degrees == [2]
     monomial_part.cache_clear()

@@ -34,7 +34,8 @@ DIR is a checkout of the revision to compare against (for instance a
   and 0 (its all-ones maps, with cores of dozens of rows, split in char
   p first and read in char 0), the
   non-level ``--gens x^5,y^5,z^2,x*y^4,y^2*z,x*z --vars x,y,z`` in 0 and
-  2 and in 2 and 0 (its level flag filled in char 2 and read in char 0),
+  2 and in 2 and 0 (its part's levelness first derived in char 2, then
+  read in char 0),
   and ``--family levelaci --alpha 3 --beta 3 --gamma 3 --t 7`` in 2,
   11, 0, 3 and 5 (det M = 2^3 3^4 11^2: in one process, characteristics
   decided before and after char 0 has computed the integer ranks, both
@@ -45,6 +46,12 @@ DIR is a checkout of the revision to compare against (for instance a
   every case of the level conjecture (all-ones maps whose rank is read
   off the restriction to r - 1 variables with the core furthest from the
   map's own): exit code and stdout;
+- ``hilbert --json`` and ``wlp --json`` for ``--gens
+  x^3,y^3,z^3,2*x^2*y+3*y^2*z+6*x*z^2 --vars x,y,z`` in characteristics
+  0, 2, 3 and 5 (a polynomial generator whose scaled terms differ by
+  field, as the slice engine scales it once when it is built: h is
+  (1,3,6,6,3) in chars 0 and 5 and (1,3,6,6,4,1) in chars 2 and 3, and
+  the WLP fails at degree 2 in char 3 only): exit code and stdout;
 - ``wlp --family levelaci --alpha 3 --beta 10 --gamma 17 --t 16 --char
   11448649999 --json``, a prime past 2^32 that divides det M: exit code
   and stdout;
@@ -62,7 +69,7 @@ DIR is a checkout of the revision to compare against (for instance a
   field-independent data shared between characteristics is first computed
   in char p), ``sweep --kind injn``, ``sweep --kind conj-wlp-d456`` (the
   ``Irkd`` ideals, with many mixed generators) and ``sweep --kind
-  aci3-mod3 --max-power 4`` (non-level ideals among them, whose level flag
+  aci3-mod3 --max-power 4`` (non-level ideals among them, whose levelness
   decides whether a decision scans down), and ``sweep --kind injn --seed
   7`` and ``sweep --kind half-conj --max-sum 6 --tspan 1 --seed 7`` (a
   seed other than the default, which the record envelope stamps): the
@@ -143,6 +150,12 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                  str(b), "--gamma", str(g), "--t", str(t), "--char", "0",
                  "--char", "2", "--json"])
                for a, b, g, t in ((2, 9, 13, 9), (3, 7, 14, 9))]
+            + [(f"{cmd} (x^3,y^3,z^3,2x^2y+3y^2z+6xz^2) chars 0, 2, 3, 5"
+                " --json",
+                [cmd, "--gens", "x^3,y^3,z^3,2*x^2*y+3*y^2*z+6*x*z^2",
+                 "--vars", "x,y,z", "--char", "0", "--char", "2", "--char",
+                 "3", "--char", "5", "--json"])
+               for cmd in ("hilbert", "wlp")]
             + [("wlp LevelAci(3,10,17,16) char 11448649999 --json",
                 ["wlp", "--family", "levelaci", "--alpha", "3", "--beta", "10",
                  "--gamma", "17", "--t", "16", "--char", "11448649999",
