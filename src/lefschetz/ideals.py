@@ -645,9 +645,9 @@ def socle_report(I: HomogeneousIdeal,
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
     cache = slice_engine(I, QQ if cache is None else cache.field, cache)
-    socle = list(cache.shared.socle())
-    degrees = sorted(sum(m) for m in socle)
-    return SocleReport(socle, degrees, len(socle), cache.shared.is_level)
+    socle = list(cache.shared.socle())  # sorted by degree
+    return SocleReport(socle, [sum(m) for m in socle], len(socle),
+                       cache.shared.is_level)
 
 
 def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,
