@@ -206,7 +206,7 @@ class MonomialPart:
     ``is_level`` says whether its quotient is level. ``all_ones_rank``
     gives the rank of each all-ones map A_d -> A_{d+1} in every
     characteristic, from the entry ``all_ones[d]`` = (k, core, rank over Q
-    of the core, D') that its first call for d fills (the restriction
+    of the core, D', n) that its first call for d fills (the restriction
     lemma of the module docstring). This module fills them; every other
     only reads them. An ideal with other generators shares the part but
     has its own profile, and none of these describe its quotient."""
@@ -327,7 +327,7 @@ class MonomialPart:
         The first call for d splits the rows of J's degree-(d+1) slice
         over Z on its n standard monomials (``matrices.unit_split``) into
         k' unit pivots and a core, and eliminates the core over Z once: it
-        keeps ``all_ones[d]`` = (k, core, rank over Q of the core, D'),
+        keeps ``all_ones[d]`` = (k, core, rank over Q of the core, D', n),
         k = h_{d+1} - n + k' and D' the core echelon's lead product, and
         read is False. Every later call, for any p, reads that entry, and
         read is True. The rank is k + rank_Q(core) when p does not divide
@@ -343,10 +343,9 @@ class MonomialPart:
             ech = IntRowEchelon(n)
             entry = self.all_ones[d] = (len(self.std(d + 1)) - n + k,
                                         tuple(core), ech.extend(core),
-                                        ech.lead_product)
-        k, core, rank, lead = entry
+                                        ech.lead_product, n)
+        k, core, rank, lead, n = entry
         if p and not lead % p:
-            n = len(self.restriction()[0].std(d + 1))
             rank = IntRowEchelon(n, p).extend(core)
         return k + rank, read
 
