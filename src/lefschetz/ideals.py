@@ -21,7 +21,8 @@ monomial ideal itself the part also owns its Hilbert profile (a
 ``HilbertProfile``, the one type for Hilbert functions and h-vectors),
 whether its quotient is level, and the rank of each all-ones map in every
 characteristic, by the lemma below. The engine decides the Artinian test,
-and owns the Hilbert profile of an ideal with polynomial generators.
+and owns the Hilbert profile of an ideal with polynomial generators. Each
+public entry point, here and in ``wlp``, builds the one engine it reads.
 
 Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
 L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
@@ -538,8 +539,8 @@ class SliceCache:
 
     def require_artinian(self):
         """NotArtinianError, with not_artinian's reason, unless R/I is
-        Artinian; asked through is_artinian, which traces time as the test."""
-        if not is_artinian(self.I, self.field, self):
+        Artinian."""
+        if self.not_artinian():
             raise NotArtinianError(self.not_artinian())
 
     def profile(self) -> HilbertProfile:
@@ -558,25 +559,11 @@ class SliceCache:
         return self._profile
 
 
-def slice_engine(I: HomogeneousIdeal, field: FieldSpec,
-                 cache: SliceCache | None = None) -> SliceCache:
-    """The slice engine of I over field: cache, or a new one when cache is
-    None. An engine built for another ideal or field would answer for that
-    one, so it raises ValueError."""
-    if cache is None:
-        return SliceCache(I, field)
-    if cache.field != field or (cache.I is not I and cache.I != I):
-        raise ValueError("the slice engine was built for another ideal or "
-                         "field")
-    return cache
-
-
-def is_artinian(I: HomogeneousIdeal, field: FieldSpec = QQ,
-                cache: SliceCache | None = None) -> bool:
+def is_artinian(I: HomogeneousIdeal, field: FieldSpec = QQ) -> bool:
     """Artinian test: pure powers of every variable (monomial route), or a
     vanishing Hilbert slice below the degree cap (general route), read from
     the engine (SliceCache.not_artinian)."""
-    return not slice_engine(I, field, cache).not_artinian()
+    return not SliceCache(I, field).not_artinian()
 
 
 @dataclass(frozen=True)
@@ -615,14 +602,14 @@ class HilbertProfile:
         return self.values[d] if 0 <= d < len(self.values) else 0
 
 
-def hilbert_profile(I: HomogeneousIdeal, field: FieldSpec = QQ,
-                    cache: SliceCache | None = None) -> HilbertProfile:
-    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes, once
-    per engine. NotArtinianError, with the engine's reason, when R/I is not
-    Artinian.
+def hilbert_profile(I: HomogeneousIdeal,
+                    field: FieldSpec = QQ) -> HilbertProfile:
+    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes, by
+    the engine (SliceCache.profile). NotArtinianError, with the engine's
+    reason, when R/I is not Artinian.
 
     Field-independent for monomial ideals (standard-monomial counting)."""
-    return slice_engine(I, field, cache).profile()
+    return SliceCache(I, field).profile()
 
 
 @dataclass
@@ -633,20 +620,18 @@ class SocleReport:
     is_level: bool
 
 
-def socle_report(I: HomogeneousIdeal,
-                 cache: SliceCache | None = None) -> SocleReport:
+def socle_report(I: HomogeneousIdeal) -> SocleReport:
     """Socle of a monomial Artinian quotient: standard monomials killed by
     every variable, that is, m with every m*x_i non-standard.
 
-    The socle does not depend on the field: a given engine may be over any
-    field, and the socle is computed once per monomial part and shared; it
-    raises the engine's NotArtinianError, whose reason is the part's."""
+    The socle does not depend on the field: it is computed once per
+    monomial part and shared; it raises the part's NotArtinianError."""
     if not I.is_monomial:
         raise ValueError("socle_report supports monomial ideals only")
-    cache = slice_engine(I, QQ if cache is None else cache.field, cache)
-    socle = list(cache.shared.socle())  # sorted by degree
+    part = SliceCache(I, QQ).shared
+    socle = list(part.socle())  # sorted by degree
     return SocleReport(socle, [sum(m) for m in socle], len(socle),
-                       cache.shared.is_level)
+                       part.is_level)
 
 
 def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,

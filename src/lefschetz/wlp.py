@@ -34,9 +34,9 @@ and every later decision of that ideal, char 0 or p, reads the rank from
 that split (path INTEGER). So a decision in a further characteristic
 enumerates nothing and builds no profile or socle; it reads h once,
 padded with h_{D+1} = 0, and builds each DegreeReport and the failure
-degrees in one pass. The full scan, mult_map_rank and kernel_witness
-neither read nor fill these splits: they eliminate the rows F*m of the map
-itself, so they check the lemma independently.
+degrees in one pass. mult_map_rank and kernel_witness neither read nor
+fill these splits: they eliminate the rows F*m of the map itself, in every
+degree asked, so they check the lemma and the propagation independently.
 
 Candidate forms: wlp_check tries the given forms in order, each distinct
 form once, and any success certifies the WLP. By default it tries
@@ -49,8 +49,9 @@ A failure is conclusive when the forms tried include those of a proof:
 all-ones for a monomial ideal (MMN Prop. 2.2), every recognized special
 form of J_r for r in _PROVEN_SPECIAL_R.
 
-Each function reads one slice engine: NotArtinianError for a non-Artinian
-R/I, ValueError for a form not linear or in another number of variables.
+Each public function builds and reads one slice engine: NotArtinianError
+for a non-Artinian R/I, ValueError for a form not linear or in another
+number of variables.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import random
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .ideals import HomogeneousIdeal, SliceCache, hilbert_profile, slice_engine
+from .ideals import HomogeneousIdeal, SliceCache
 from .matrices import clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
@@ -105,10 +106,10 @@ class WLPVerdict:
 
 
 def mult_map_rank(I: HomogeneousIdeal, F: HomogeneousPolynomial, d: int,
-                  field: FieldSpec, cache: SliceCache | None = None) -> dict:
+                  field: FieldSpec) -> dict:
     """Rank data for x F : (R/I)_d -> (R/I)_{d+deg F}; its cokernel has
     dimension h_de - rank."""
-    cache = slice_engine(I, field, cache)
+    cache = SliceCache(I, field)
     cache.require_same_ring(F)
     cache.require_artinian()
     de = d + F.degree
@@ -180,7 +181,7 @@ class _Failing(Exception):
     """A computed degree of a dropped form is not maximal."""
 
 
-def _verdict_for_form(cache, L, profile, level, full_scan, part=None,
+def _verdict_for_form(cache, L, profile, level, part=None,
                       last=True) -> WLPVerdict:
     """Every degree's rank of x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, by
     the rule of the module docstring: scan up from the first step with
@@ -193,9 +194,6 @@ def _verdict_for_form(cache, L, profile, level, full_scan, part=None,
     part is the monomial ideal's MonomialPart when L is its all-ones form,
     else None: each rank then comes from part.all_ones_rank, which splits
     or reads (the module docstring), in any characteristic.
-
-    full_scan is the oracle the propagation is tested against: it scans
-    up from degree 0 and reads nothing down.
 
     last=False is for a form the caller drops if it fails: the first
     computed degree that is neither injective nor surjective raises
@@ -220,11 +218,10 @@ def _verdict_for_form(cache, L, profile, level, full_scan, part=None,
                 raise _Failing
         return ranks[d]
 
-    first = 0 if full_scan else next(d for d in range(D + 1)
-                                     if h[d] >= h[d + 1])
+    first = next(d for d in range(D + 1) if h[d] >= h[d + 1])
     d_s = next(d for d in range(first, D + 1) if rank(d) == h[d + 1])
     d_i = -1
-    if level and not full_scan:
+    if level:
         d_i = next((d for d in range(d_s, -1, -1) if rank(d) == h[d]), -1)
     reports, failures = [], []
     for d in range(D + 1):
@@ -270,8 +267,7 @@ def _require_forms(cache: SliceCache, forms: list):
         cache.require_same_ring(L)
 
 
-def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
-              full_scan: bool = False) -> WLPVerdict:
+def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None) -> WLPVerdict:
     """Decide the WLP of R/I over the given field by the linear forms in
     order (the module docstring), candidate_forms(I, field) by default.
     The verdict is that of the first form that holds, or else of the last
@@ -279,17 +275,15 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None,
     cache = SliceCache(I, field)
     forms = candidate_forms(I, field) if forms is None else _distinct(forms)
     _require_forms(cache, forms)
-    profile = hilbert_profile(I, field, cache)
+    profile = cache.profile()
     level, part = False, None
     if I.is_monomial:  # the part's field-independent facts
-        level = cache.shared.is_level
-        # the all-ones splits over Z, but never for the full-scan oracle
-        part = None if full_scan else cache.shared
+        level, part = cache.shared.is_level, cache.shared
     for n, L in enumerate(forms, 1):
         ones = part if _is_all_ones(L, I.num_vars) else None
         try:
-            verdict = _verdict_for_form(cache, L, profile, level, full_scan,
-                                        ones, last=n == len(forms))
+            verdict = _verdict_for_form(cache, L, profile, level, ones,
+                                        last=n == len(forms))
         except _Failing:
             continue  # fails; only the last form's report is returned
         verdict.forms_tried = n

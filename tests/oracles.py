@@ -1,9 +1,9 @@
 """Independent oracles used only by the tests: a cofactor determinant, the
 gcd of maximal minors by enumerating them, a rank over a field for dense
 rows with entries in that field, monomial divisibility, the socle of a
-monomial quotient by its definition, and the socle of an almost complete
+monomial quotient by its definition, the socle of an almost complete
 intersection (x^a, y^b, z^c, x^alpha y^beta z^gamma) from its inverse
-system."""
+system, and the full scan of a WLP verdict: mult_map_rank in every degree."""
 
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -12,6 +12,7 @@ from math import gcd
 from lefschetz.families import Aci3
 from lefschetz.fields import FieldSpec
 from lefschetz.matrices import clear_denominators, mod_rank, rank_int_rows
+from lefschetz.wlp import mult_map_rank, wlp_check
 
 
 def det_cofactor(entries) -> int:
@@ -45,6 +46,37 @@ def rank_rows(rows, ncols: int, field: FieldSpec) -> int:
     if field.characteristic == 0:
         return rank_int_rows([clear_denominators(r) for r in rows], ncols)
     return mod_rank(rows, ncols, field.characteristic)
+
+
+def full_scan(I, L, field: FieldSpec) -> tuple:
+    """(degrees, failures) for x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, the
+    reference a WLP verdict's propagation is checked against: degrees holds
+    (d, rank, injective, surjective) with each rank from mult_map_rank,
+    which eliminates the rows L*m in the field and neither propagates a
+    degree nor reads an integer rank; failures are the degrees where the
+    rank is below min(h_d, h_{d+1})."""
+    degrees, failures = [], []
+    d = 0
+    while (data := mult_map_rank(I, L, d, field))["h_d"]:
+        rank, h_d, h_d1 = data["rank"], data["h_d"], data["h_de"]
+        degrees.append((d, rank, rank == h_d, rank == h_d1))
+        if rank < min(h_d, h_d1):
+            failures.append(d)
+        d += 1
+    return degrees, failures
+
+
+def assert_matches_full_scan(I, field: FieldSpec, verdict=None):
+    """The verdict, wlp_check(I, field) by default, has the reports,
+    failure degrees and answer of the full scan of the form it reports;
+    returns it."""
+    verdict = verdict or wlp_check(I, field)
+    degrees, failures = full_scan(I, verdict.form_used, field)
+    assert [(r.d, r.rank, r.injective, r.surjective)
+            for r in verdict.reports] == degrees
+    assert verdict.failure_degrees == failures
+    assert verdict.has_wlp == (not failures)
+    return verdict
 
 
 def mono_divides(a, b) -> bool:

@@ -1,13 +1,14 @@
 """The slice engine owns an ideal's Hilbert profile and its Artinian test:
-every entry point gives the engine's reason for a non-Artinian quotient, the
-profile is computed once per engine, and inputs the engine cannot answer for
-(a form in another number of variables, a generator that vanishes in the
-decision field) are rejected rather than answered wrongly."""
+every entry point builds one engine and gives its reason for a
+non-Artinian quotient, the profile is computed once per engine, and inputs
+the engine cannot answer for (a form in another number of variables, a
+generator that vanishes in the decision field) are rejected rather than
+answered wrongly."""
 
 import pytest
 
 from lefschetz import ideals
-from lefschetz.families import Jr, make_ideal
+from lefschetz.families import Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HilbertProfile, NotArtinianError, SliceCache,
                               hilbert_profile, is_artinian, parse_ideal,
@@ -48,17 +49,43 @@ def test_every_entry_point_gives_the_engine_reason(text, reason, field):
     lambda f: parse_ideal("x^2,y^2,z^2-x*y", XYZ, f),   # general route
 ])
 def test_second_profile_recomputes_nothing(I, field, monkeypatch):
-    I = I(field)
-    cache = SliceCache(I, field)
-    first = hilbert_profile(I, field, cache)
+    cache = SliceCache(I(field), field)
+    first = cache.profile()
 
     def recomputed(*args):
         raise AssertionError("the profile was computed again")
 
     monkeypatch.setattr(SliceCache, "dim", recomputed)
     monkeypatch.setattr(SliceCache, "echelon", recomputed)
-    assert hilbert_profile(I, field, cache) is first
-    assert is_artinian(I, field, cache)
+    assert cache.profile() is first
+    assert not cache.not_artinian()
+
+
+@pytest.mark.parametrize("spec, field", [(Jr(4), GF(5)),
+                                         (LevelAci(1, 2, 3, 4), QQ)])
+def test_each_entry_point_builds_one_engine(spec, field, monkeypatch):
+    """A second engine would eliminate every slice echelon of J_4 again:
+    wlp_check reads its own engine's profile, not hilbert_profile's."""
+    built = []
+    init = SliceCache.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SliceCache, "__init__", counted)
+    I = make_ideal(spec, field)
+    L = linear_form(I.num_vars, [1] * I.num_vars, field)
+    calls = [lambda: wlp_check(I, field), lambda: hilbert_profile(I, field),
+             lambda: is_artinian(I, field),
+             lambda: mult_map_rank(I, L, 2, field),
+             lambda: kernel_witness(I, field, 2)]
+    if I.is_monomial:
+        calls.append(lambda: socle_report(I))
+    for call in calls:
+        built.clear()
+        call()
+        assert len(built) == 1
 
 
 def test_profile_and_ci_hvector_are_one_type():

@@ -87,26 +87,14 @@ def test_unit_ideal_rejected(text, variables):
         HomogeneousIdeal(2, [one])
 
 
-def test_slice_engine_of_another_ideal_or_field_rejected():
-    # each of these used to answer for the engine's ideal or field: the
-    # profile of J_4 through an engine of J_3 came out as (1, 3, 6, 6, 3)
+def test_equal_ideals_built_separately_answer_alike():
+    # through an engine of J_3, once passed in, the profile of J_4 came out
+    # as J_3's (1, 3, 6, 6, 3)
     I4 = make_ideal(Jr(4), QQ)
-    I3 = make_ideal(Jr(3), QQ)
-    for cache in (SliceCache(I3, QQ), SliceCache(make_ideal(Jr(4), GF(5)),
-                                                 GF(5))):
-        with pytest.raises(ValueError, match="another ideal or field"):
-            hilbert_profile(I4, QQ, cache=cache)
-        with pytest.raises(ValueError, match="another ideal or field"):
-            is_artinian(I4, QQ, cache=cache)
+    assert hilbert_profile(make_ideal(Jr(4), QQ), QQ) == hilbert_profile(I4)
+    assert hilbert_profile(I4) != hilbert_profile(make_ideal(Jr(3), QQ))
     monomial = ideal("x^3,y^3,z^3,x*y*z")
-    with pytest.raises(ValueError, match="another ideal or field"):
-        socle_report(monomial, SliceCache(ideal("x^2,y^2,z^2"), QQ))
-    # an engine of an equal ideal, built separately, is the same engine
-    cache = SliceCache(make_ideal(Jr(4), QQ), QQ)
-    assert hilbert_profile(I4, QQ, cache=cache) == hilbert_profile(I4, QQ)
-    assert (socle_report(monomial, SliceCache(ideal("x^3,y^3,z^3,x*y*z"),
-                                              GF(3)))
-            == socle_report(monomial))
+    assert socle_report(ideal("x^3,y^3,z^3,x*y*z")) == socle_report(monomial)
 
 
 def test_standard_monomials():
@@ -169,12 +157,12 @@ def test_socle_matches_definition(case):
     I = _ideal_of(r, gens)
     socle = socle_brute(gens, r)
     degrees = sorted(sum(m) for m in socle)
-    for rep in (socle_report(I),
-                socle_report(I, SliceCache(I, GF(3)))):
-        assert rep.socle_monomials == socle
-        assert rep.socle_degrees == degrees
-        assert rep.cm_type == len(socle)
-        assert rep.is_level == (len(set(degrees)) <= 1)
+    rep = socle_report(I)
+    assert rep.socle_monomials == socle
+    assert rep.socle_degrees == degrees
+    assert rep.cm_type == len(socle)
+    assert rep.is_level == (len(set(degrees)) <= 1)
+    assert list(SliceCache(I, GF(3)).shared.socle()) == socle
     part = MonomialPart(r, tuple(sorted(set(gens))))
     assert part.is_level == (len(set(degrees)) <= 1)
 
@@ -225,19 +213,20 @@ def test_socle_degrees_come_from_the_engine_not_a_given_profile():
     I = ideal("x^3,y^3,z^3")
     J = ideal("x^2,y^2,z^2")
     with pytest.raises(TypeError):
-        socle_report(I, SliceCache(I, QQ), hilbert_profile(J))
+        socle_report(I, hilbert_profile(J))
     assert socle_report(J).socle_monomials == [(1, 1, 1)]
-    for rep in (socle_report(I, SliceCache(I, QQ)), socle_report(I),
-                socle_report(I, SliceCache(I, GF(2)))):
-        assert rep.socle_monomials == [(2, 2, 2)]
-        assert rep.socle_degrees == [6]
-        assert rep.cm_type == 1
+    rep = socle_report(I)
+    assert rep.socle_monomials == [(2, 2, 2)]
+    assert rep.socle_degrees == [6]
+    assert rep.cm_type == 1
+    for field in (QQ, GF(2)):
+        assert SliceCache(I, field).shared.socle() == ((2, 2, 2),)
 
 
 def test_slice_cache_dim_consistency():
     I = ideal("x^3,y^3,z^3,x*y*z+z^3")
     cache = SliceCache(I, QQ)
-    h = hilbert_profile(I, QQ, cache=cache)
+    h = cache.profile()
     for d in range(h.socle_degree + 1):
         assert cache.dim(d) == h[d]
 
@@ -278,11 +267,11 @@ def test_socle_of_a_non_artinian_ideal_is_an_error(monkeypatch):
     monkeypatch.setattr(ideals, "standard_monomial_tuples", capped)
     ideals.monomial_part.cache_clear()
     I = ideal("x^2,y^2")
-    for cache in (None, SliceCache(I, GF(3))):
-        with pytest.raises(NotArtinianError, match="2 has no pure power"):
-            socle_report(I, cache)
     with pytest.raises(NotArtinianError, match="2 has no pure power"):
-        SliceCache(I, QQ).shared.socle()
+        socle_report(I)
+    for field in (GF(3), QQ):
+        with pytest.raises(NotArtinianError, match="2 has no pure power"):
+            SliceCache(I, field).shared.socle()
     # the socle of an Artinian part enumerates no standard monomials
     asked.clear()
     assert SliceCache(ideal("x^2,y^2,z^2"), QQ).shared.socle() == ((1, 1, 1),)

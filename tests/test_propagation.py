@@ -1,8 +1,8 @@
 """Prop. 2.1 propagation in wlp_check: surjectivity read upward in any
 Artinian algebra, injectivity read downward in a level one. The propagated
-verdict must equal the full scan (every degree up to the first surjective
-step computed) in rank, injectivity and surjectivity per degree, failure
-degrees and verdict, and must compute each map at most once.
+verdict must equal the full scan (``oracles.full_scan``: every degree's
+rank from mult_map_rank) in rank, injectivity and surjectivity per degree,
+failure degrees and verdict, and must compute each map at most once.
 
 A decision of a monomial ideal, in any characteristic, keeps the unit
 split over Z of each all-ones map it computes in the process-wide
@@ -26,6 +26,7 @@ from lefschetz.ideals import (HomogeneousIdeal, MonomialPart, SliceCache,
 from lefschetz.rings import HomogeneousPolynomial
 from lefschetz.sweeps import level_aci_grid
 from lefschetz.wlp import COMPUTED, DOWN, INTEGER, UP, wlp_check
+from oracles import assert_matches_full_scan
 
 LEVEL_CHARS = (0, 2, 3, 5, 7, 11, 13)
 # not level: its socle is y*z, y^4 and x^4*y^3, in degrees 2, 4 and 7
@@ -59,17 +60,6 @@ def count_maps(monkeypatch) -> list:
     monkeypatch.setattr(wlp, "_map_rank", counted_map)
     monkeypatch.setattr(MonomialPart, "all_ones_rank", counted_split)
     return calls
-
-
-def assert_matches_full_scan(I, field, fast=None):
-    fast = fast or wlp_check(I, field)
-    slow = wlp_check(I, field, full_scan=True)
-    assert ([(r.d, r.rank, r.injective, r.surjective) for r in fast.reports]
-            == [(r.d, r.rank, r.injective, r.surjective)
-                for r in slow.reports])
-    assert fast.failure_degrees == slow.failure_degrees
-    assert fast.has_wlp == slow.has_wlp
-    return fast
 
 
 # the order of the paths along the degrees: a rank read from the integer

@@ -4,25 +4,25 @@ image of I in Z[x_2, ..., x_r] under x_1 -> -(x_2 + ... + x_r) and n the
 number of its standard monomials of degree d + 1, in every field.
 
 wlp_check ranks it by ``MonomialPart.all_ones_rank``, which splits J's
-slice rows, built from ``MonomialPart.restriction``; the full scan and
-mult_map_rank eliminate the rows F*m of the map itself, so they check it
-independently. J's generators are also checked against
-``restrict_modulo_linear``, which substitutes by polynomial arithmetic."""
+slice rows, built from ``MonomialPart.restriction``; mult_map_rank, and
+the full scan of ``oracles`` made of it, eliminate the rows F*m of the map
+itself, so they check it independently. J's generators are also checked
+against ``restrict_modulo_linear``, which substitutes by polynomial
+arithmetic."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz import wlp
 from lefschetz.criterion import build_M, criterion_report
 from lefschetz.families import Aci3, Irr, LevelAci, make_ideal, predicates
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HomogeneousIdeal, MonomialPart, SliceCache,
-                              hilbert_profile, monomial_part,
-                              restrict_modulo_linear)
+                              monomial_part, restrict_modulo_linear)
 from lefschetz.matrices import det_integer
 from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import aci3_grid, level_aci_grid
+from oracles import assert_matches_full_scan, full_scan
 
 CHARS = (0, 2, 3, 5, 7)
 
@@ -52,16 +52,13 @@ def _all_ones_ranks(I, field):
     """Per degree d = 0..D, the rank of the all-ones map A_d -> A_{d+1}
     by the split of J's slice (MonomialPart.all_ones_rank, on a part of
     its own, outside the monomial_part memo, so that each degree is split
-    here), and by mult_map_rank."""
-    cache = SliceCache(I, field)
-    part = MonomialPart(I.num_vars, cache.shared.mono_gens)
+    here), and by mult_map_rank (the full scan)."""
+    part = MonomialPart(I.num_vars, SliceCache(I, field).shared.mono_gens)
     L = linear_form(I.num_vars, [1] * I.num_vars, field)
-    h = hilbert_profile(I, field, cache).values + (0,)
+    direct = [rank for _, rank, _, _ in full_scan(I, L, field)[0]]
     split = [part.all_ones_rank(d, field.characteristic)
-             for d in range(len(h) - 1)]
+             for d in range(len(direct))]
     assert not any(read for _, read in split)
-    direct = [wlp.mult_map_rank(I, L, d, field, cache)["rank"]
-              for d in range(len(h) - 1)]
     return [rank for rank, _ in split], direct
 
 
@@ -69,22 +66,12 @@ def _all_ones_ranks(I, field):
 @settings(max_examples=60, deadline=None)
 def test_split_of_the_restriction_gives_the_direct_ranks(I, chars):
     """In every characteristic, decided in a drawn order through one memo:
-    the verdict equals the full scan, each degree's rank equals
+    the verdict equals the full scan, so each degree's rank equals
     mult_map_rank's, and so does the split of J's slice in every degree."""
     monomial_part.cache_clear()
     for ch in chars:
         field = field_of(ch)
-        verdict = wlp.wlp_check(I, field)
-        slow = wlp.wlp_check(I, field, full_scan=True)
-        assert ([(r.d, r.rank, r.injective, r.surjective)
-                 for r in verdict.reports]
-                == [(r.d, r.rank, r.injective, r.surjective)
-                    for r in slow.reports]), ch
-        assert verdict.failure_degrees == slow.failure_degrees
-        L = linear_form(I.num_vars, [1] * I.num_vars, field)
-        assert [r.rank for r in verdict.reports] == [
-            wlp.mult_map_rank(I, L, r.d, field)["rank"]
-            for r in verdict.reports], ch
+        assert_matches_full_scan(I, field)
         split, direct = _all_ones_ranks(I, field)
         assert split == direct, ch
 
@@ -168,12 +155,9 @@ def test_det_zero_point_outside_the_conjecture_cases_fails(point):
     for ch, failures in DET_ZERO_FAILURES[point].items():
         field = field_of(ch)
         I = make_ideal(LevelAci(*point), field)
-        verdict = wlp.wlp_check(I, field)
-        slow = wlp.wlp_check(I, field, full_scan=True)
+        verdict = assert_matches_full_scan(I, field)
         assert not verdict.has_wlp and verdict.conclusive
-        assert verdict.failure_degrees == slow.failure_degrees == failures
-        assert ([(r.d, r.rank) for r in verdict.reports]
-                == [(r.d, r.rank) for r in slow.reports])
+        assert verdict.failure_degrees == failures
 
 
 def test_levelaci_fails_over_a_prime_past_2_32_that_divides_det_m():
@@ -183,7 +167,6 @@ def test_levelaci_fails_over_a_prime_past_2_32_that_divides_det_m():
     assert criterion_report(*point).fails_in(p)
     field = GF(p)
     I = make_ideal(LevelAci(*point), field)
-    verdict = wlp.wlp_check(I, field)
+    verdict = assert_matches_full_scan(I, field)
     assert not verdict.has_wlp and verdict.conclusive
-    assert (verdict.failure_degrees
-            == wlp.wlp_check(I, field, full_scan=True).failure_degrees == [34])
+    assert verdict.failure_degrees == [34]

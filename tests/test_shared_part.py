@@ -26,8 +26,8 @@ from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal,
 from lefschetz.matrices import IntRowEchelon
 from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import level_aci_grid
-from lefschetz.wlp import (COMPUTED, DOWN, INTEGER, kernel_witness,
-                           mult_map_rank, wlp_check)
+from lefschetz.wlp import COMPUTED, DOWN, INTEGER, kernel_witness, wlp_check
+from oracles import full_scan
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 LEVEL_SLICE = [LevelAci(*point) for point in list(level_aci_grid(7, 2))[:12]]
@@ -127,7 +127,7 @@ def test_shared_data_cannot_be_changed():
     assert socle_report(I).cm_type > 0
     h = tuple(hilbert_profile(I, QQ))
     with pytest.raises(FrozenInstanceError):
-        hilbert_profile(I, GF(3), cache).values = (1,)
+        cache.profile().values = (1,)
     assert tuple(hilbert_profile(I, QQ)) == h
     first = wlp_check(I, QQ)
     second = wlp_check(make_ideal(LevelAci(2, 3, 4, 5), QQ), QQ)
@@ -276,21 +276,17 @@ def _aci3(field):
 def _questions(I, field):
     """(label, call) for what is asked of R/I over field: its Hilbert
     profile; its verdicts by the all-ones form (a monomial ideal's reads
-    and fills the integer ranks), by the full scan, and by a form with a
-    zero coordinate, which is all-ones in no field; and the ranks of both
-    forms' maps in every degree, by mult_map_rank."""
+    and fills the integer ranks) and by a form with a zero coordinate,
+    which is all-ones in no field; and the full scan of both forms' maps,
+    by mult_map_rank in every degree."""
     r = I.num_vars
     ones = linear_form(r, [1] * r, field)
     other = linear_form(r, [1] * (r - 1) + [0], field)
     yield "profile", lambda: hilbert_profile(I, field)
     yield "all-ones", lambda: _as_computed(wlp_check(I, field, forms=[ones]))
-    yield "full scan", lambda: wlp_check(I, field, forms=[ones],
-                                         full_scan=True)
     yield "other form", lambda: wlp_check(I, field, forms=[other])
     for name, F in (("all-ones", ones), ("other", other)):
-        yield f"mult_map_rank {name}", lambda F=F: [
-            mult_map_rank(I, F, d, field) for d in range(
-                len(hilbert_profile(I, field)))]
+        yield f"full scan {name}", lambda F=F: full_scan(I, F, field)
 
 
 def _shared_steps(ascending):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import wlp
 from lefschetz.families import Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HomogeneousIdeal, SliceCache, hilbert_profile,
@@ -12,7 +13,7 @@ from lefschetz.rings import (HomogeneousPolynomial, degree_monomials,
                             linear_form, poly_pow)
 from lefschetz.wlp import (candidate_forms, kernel_witness, mult_map_rank,
                            wlp_check)
-from oracles import rank_rows
+from oracles import assert_matches_full_scan, rank_rows
 
 XYZ = ["x", "y", "z"]
 
@@ -38,18 +39,13 @@ def test_mult_map_rank_values():
     assert data["rank"] == 5  # the known maximal-rank failure
 
 
-def test_mult_map_rank_rejects_engine_of_another_field():
-    # through an engine of J_4 over GF(5) the rank came out as 29, the
-    # GF(5) rank; over QQ it is 30
-    I = make_ideal(Jr(4), QQ)
-    L = all_ones(4, QQ)
-    other = SliceCache(make_ideal(Jr(4), GF(5)), GF(5))
-    with pytest.raises(ValueError, match="another ideal or field"):
-        mult_map_rank(I, L, 4, QQ, cache=other)
-    assert mult_map_rank(I, L, 4, QQ)["rank"] == 30
-    assert mult_map_rank(I, L, 4, QQ, cache=SliceCache(I, QQ))["rank"] == 30
+def test_mult_map_rank_of_j4_depends_on_the_field():
+    # an engine of J_4 over GF(5), once passed in for a question over QQ,
+    # gave the GF(5) rank 29; over QQ it is 30
+    assert mult_map_rank(make_ideal(Jr(4), QQ), all_ones(4, QQ), 4,
+                         QQ)["rank"] == 30
     assert mult_map_rank(make_ideal(Jr(4), GF(5)), all_ones(4, GF(5)), 4,
-                         GF(5), cache=other)["rank"] == 29
+                         GF(5))["rank"] == 29
 
 
 def test_quadratic_form_rank():
@@ -109,11 +105,7 @@ def test_random_strategy_is_seeded():
 def test_full_scan_agrees_with_propagation():
     for ch in (0, 3):
         f = QQ if ch == 0 else GF(ch)
-        I = ideal("x^5,y^5,z^5,x^2*y^2*z", f)
-        fast = wlp_check(I, f)
-        slow = wlp_check(I, f, full_scan=True)
-        assert fast.has_wlp == slow.has_wlp
-        assert [r.rank for r in fast.reports] == [r.rank for r in slow.reports]
+        assert_matches_full_scan(ideal("x^5,y^5,z^5,x^2*y^2*z", f), f)
 
 
 def test_kernel_witness_char_p_powers():
@@ -276,20 +268,21 @@ def projected_map_data(I, F, d, field):
 @given(map_rank_case())
 @settings(max_examples=40, deadline=None)
 def test_mult_map_rank_matches_projected_rows(case):
-    # every degree up to the case's, through one shared cache, so later maps
-    # start from echelons that earlier maps copied
+    # every degree up to the case's, and _map_rank through one shared
+    # cache, so later maps start from echelons that earlier maps copied
     I, F, d, field = case
     cache = SliceCache(I, field)
     for k in range(d + 1):
         expected = projected_map_data(I, F, k, field)
-        assert mult_map_rank(I, F, k, field, cache=cache) == expected
+        assert mult_map_rank(I, F, k, field) == expected
+        assert wlp._map_rank(cache, F, k, k + F.degree) == expected["rank"]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 def test_map_ranks_leave_cached_echelons_unchanged(field):
     I = make_ideal(Jr(4), field)
     cache = SliceCache(I, field)
-    top = hilbert_profile(I, field, cache).socle_degree + 2
+    top = cache.profile().socle_degree + 2
     before = {d: (cache.echelon(d).rank, cache.dim(d),
                   dict(cache.echelon(d).pivots)) for d in range(top + 1)}
     forms = [all_ones(4, field), linear_form(4, [2, 1, 1, -1], field),
@@ -297,7 +290,7 @@ def test_map_ranks_leave_cached_echelons_unchanged(field):
              poly_pow(all_ones(4, field), 2, field)]
     for F in forms:
         for d in range(top + 1 - F.degree):
-            mult_map_rank(I, F, d, field, cache=cache)
+            wlp._map_rank(cache, F, d, d + F.degree)
     after = {d: (cache.echelon(d).rank, cache.dim(d),
                  dict(cache.echelon(d).pivots)) for d in range(top + 1)}
     assert after == before

@@ -28,6 +28,10 @@ DIR is a checkout of the revision to compare against (for instance a
   --char 0 --char 2`` (a non-Artinian monomial ideal, whose exit code
   comes from the NotArtinianError raised in each field): exit code and
   stdout;
+- ``hilbert`` and ``wlp --json`` for ``--gens x^2,y^2+x*y --vars x,y,z
+  --char 0 --char 2``, a non-Artinian ideal with a polynomial generator,
+  whose error names the engine's reason (no vanishing slice below the
+  degree cap): exit code and stdout;
 - ``wlp --json`` for ``--family levelaci --alpha 1 --beta 2 --gamma 3
   --t 4`` in characteristics 0, 2 and 3, ``--family irr --r 5`` in 0, 2
   and 5 (level ideals whose failures span several degrees) and in 5, 2
@@ -73,10 +77,11 @@ DIR is a checkout of the revision to compare against (for instance a
   decides whether a decision scans down), and ``sweep --kind injn --seed
   7`` and ``sweep --kind half-conj --max-sum 6 --tspan 1 --seed 7`` (a
   seed other than the default, which the record envelope stamps): the
-  JSON-lines records without their ``wall_time`` field, and the CSV
-  summary.
+  exit code, the JSON-lines records without their ``wall_time`` field,
+  and the CSV summary.
 
-The outputs are compared in that order. At the first that differs, the
+Where an exit code is not 0, the run's stderr is compared with it. The
+outputs are compared in that order. At the first that differs, the
 tool prints its name and the first line where the two trees part, and
 exits 1. It exits 0 when every output is the same.
 """
@@ -118,6 +123,12 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                ("hilbert non-Artinian (x^2,y^3) chars 0, 2",
                 ["hilbert", "--gens", "x^2,y^3", "--vars", "x,y,z", "--char",
                  "0", "--char", "2"]),
+               ("hilbert non-Artinian (x^2,y^2+xy) chars 0, 2",
+                ["hilbert", "--gens", "x^2,y^2+x*y", "--vars", "x,y,z",
+                 "--char", "0", "--char", "2"]),
+               ("wlp non-Artinian (x^2,y^2+xy) chars 0, 2 --json",
+                ["wlp", "--gens", "x^2,y^2+x*y", "--vars", "x,y,z",
+                 "--char", "0", "--char", "2", "--json"]),
                ("wlp Jr(4) chars 2, 0, 5 --json",
                 ["wlp", "--family", "jr", "--r", "4", "--char", "2",
                  "--char", "0", "--char", "5", "--json"]),
@@ -188,21 +199,25 @@ SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                 "--tspan", "1", "--seed", "7"])]
 
 
-def lefschetz(tree: Path, args: list, cwd: str) -> str:
-    """Exit code and stdout of one CLI run against tree's sources."""
+def lefschetz(tree: Path, args: list, cwd: str) -> tuple:
+    """(status, stdout) of one CLI run against tree's sources: the status
+    is the exit code, followed by stderr when the exit code is not 0."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "lefschetz.cli", *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
-    return f"exit {proc.returncode}\n{proc.stdout}"
+    status = f"exit {proc.returncode}"
+    if proc.returncode:
+        status += f"\nstderr:\n{proc.stderr}"
+    return status, proc.stdout
 
 
 def sweep_outputs(tree: Path, name: str, args: list):
-    """Yield a sweep's exit code, its records without wall_time, and its
-    CSV summary."""
+    """Yield a sweep's status (its stdout names a temporary file), its
+    records without wall_time, and its CSV summary."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / f"{name}.jsonl"
-        status = lefschetz(tree, ["sweep", *args, "--out", str(out)], tmp)
-        yield f"sweep {name}: exit code", status.splitlines()[0]
+        status, _ = lefschetz(tree, ["sweep", *args, "--out", str(out)], tmp)
+        yield f"sweep {name}: exit code", status
         records = []
         lines = out.read_text(encoding="utf-8") if out.exists() else ""
         for line in lines.splitlines():
@@ -219,7 +234,8 @@ def outputs(tree: Path):
     """Yield (name, text) for every compared output of tree, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in COMMANDS:
-            yield name, lefschetz(tree, args, tmp)
+            status, stdout = lefschetz(tree, args, tmp)
+            yield name, f"{status}\n{stdout}"
     for name, args in SWEEPS:
         yield from sweep_outputs(tree, name, args)
 
