@@ -6,8 +6,7 @@ there is no floating point anywhere in the decision paths.
 
 A monomial is an exponent tuple, one entry per variable: standard_monomials
 and SocleReport.socle_monomials return them, and
-rings.format_monomial(expo, variables) writes one as text. (These were
-Monomial objects before; their .exponents is now the tuple itself.)
+rings.format_monomial(expo, variables) writes one as text.
 """
 
 from .fields import GF, QQ, FieldSpec

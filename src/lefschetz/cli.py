@@ -3,9 +3,11 @@
 Subcommands: hilbert, wlp, detm, witness, chain, sweep, betti, verify-paper.
 Each subparser names the function that runs it, and each choice is named
 once: the --family table below, the sweep kinds in ``sweeps.SWEEPS``.
-Exit codes: 0 success, 1 mathematical check failure, 2 usage error. A
-flag the chosen family, sweep kind or strategy does not use is a usage
-error, and so is any ValueError the library raises for the input.
+Exit codes: 0 success, 1 a mathematical check failure or a fact about the
+input (a non-Artinian quotient, a det M that factor leaves unfinished),
+told in one stderr line with no usage banner, 2 usage error. A flag the
+chosen family, sweep kind or strategy does not use is a usage error, and
+so is any other ValueError the library raises for the input.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .criterion import criterion_report, vandermonde_witness
 from .families import (Aci3, INJN, Irk, Irkd, Irr, Jr, LevelAci, betti_table,
                        make_ideal)
 from .fields import FieldSpec, is_prime
-from .ideals import hilbert_profile, parse_ideal
+from .ideals import NotArtinianError, hilbert_profile, parse_ideal
 from .liaison import bdl_chain
 from .sweeps import SWEEPS, run_sweep
 from .wlp import (DEFAULT_SEED, _all_ones, _random_forms, candidate_forms,
@@ -283,6 +285,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
+    except (NotArtinianError, ArithmeticError) as exc:  # both ValueErrors
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         parser.error(str(exc))
 

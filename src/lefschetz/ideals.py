@@ -53,13 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
-from math import comb
+from math import factorial, prod
 from operator import add, le
 
 from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators, unit_split
-from .rings import (HomogeneousPolynomial, parse_generators, poly_add,
-                    poly_mul, poly_pow)
+from .rings import (HomogeneousPolynomial, degree_monomials,
+                    parse_generators, poly_add, poly_mul, poly_pow)
 
 
 @dataclass
@@ -197,8 +197,8 @@ class MonomialPart:
     ``restriction`` keeps the data of J, the image of the monomial ideal
     in r - 1 variables under x_1 -> -(x_2 + ... + x_r), that no field
     changes: a nested MonomialPart of its monomial generators and the
-    integer terms of its other generators. ``restriction_rows`` builds
-    the rows of its slices from them.
+    integer terms of its other generators, from which ``_slice_rows``
+    builds the rows of its slices.
 
     For the monomial ideal itself, the part owns what every decision of it
     reads, in any field. ``profile`` is its ``HilbertProfile``, None until
@@ -311,15 +311,6 @@ class MonomialPart:
             self._restriction = part, tuple(images)
         return self._restriction
 
-    def restriction_rows(self, e: int):
-        """Yield the nonempty rows g*m of J's degree-e slice
-        (``restriction``) on the standard monomials of its monomial part,
-        as {column: entry} dicts, in the order of ``_slice_rows``. The rows
-        are built as they are taken, so a consumer that stops at full rank
-        builds no more."""
-        part, images = self.restriction()
-        return _slice_rows(images, part, e)
-
     def all_ones_rank(self, d: int, p: int) -> tuple[int, bool]:
         """(rank, read) for the all-ones map x L : A_d -> A_{d+1} of the
         monomial ideal over a field of characteristic p, by the restriction
@@ -339,8 +330,11 @@ class MonomialPart:
         entry = self.all_ones.get(d)
         read = entry is not None
         if not read:
-            n = len(self.restriction()[0].std(d + 1))
-            k, core = unit_split(self.restriction_rows(d + 1), n)
+            part, images = self.restriction()
+            n = len(part.std(d + 1))
+            # J's rows are built as they are taken, so a split that reaches
+            # full rank builds no more
+            k, core = unit_split(_slice_rows(images, part, d + 1), n)
             ech = IntRowEchelon(n)
             entry = self.all_ones[d] = (len(self.std(d + 1)) - n + k,
                                         tuple(core), ech.extend(core),
@@ -395,19 +389,8 @@ def _product_rows(terms, monomials, idx: dict):
 def _multinomial_terms(a: int, caps: list) -> list:
     """(b, a!/(b_1! ... b_n!)) for the exponents b of (x_1 + ... + x_n)^a
     with b_i <= caps[i], in descending lexicographic order."""
-    out = []
-
-    def extend(prefix, i, rest, coeff):
-        if i == len(caps) - 1:
-            if rest <= caps[i]:
-                out.append((prefix + (rest,), coeff))
-            return
-        for b in range(min(rest, caps[i]), -1, -1):
-            extend(prefix + (b,), i + 1, rest - b, coeff * comb(rest, b))
-
-    if caps:
-        extend((), 0, a, 1)
-    return out
+    return [(b, factorial(a) // prod(map(factorial, b)))
+            for b in degree_monomials(len(caps), a) if all(map(le, b, caps))]
 
 
 @lru_cache(maxsize=MONOMIAL_PARTS)

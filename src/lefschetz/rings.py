@@ -73,8 +73,8 @@ class HomogeneousPolynomial:
         return cls(num_vars, degree, terms)
 
     @classmethod
-    def monomial(cls, num_vars: int, expo: Expo, coeff=1):
-        return cls(num_vars, sum(expo), {tuple(expo): coeff} if coeff else {})
+    def monomial(cls, num_vars: int, expo: Expo):
+        return cls(num_vars, sum(expo), {tuple(expo): 1})
 
     @property
     def is_zero(self) -> bool:

@@ -89,10 +89,6 @@ class DegreeReport:
     surjective: bool
     path: str = COMPUTED
 
-    @property
-    def maximal(self) -> bool:
-        return self.injective or self.surjective
-
 
 @dataclass
 class WLPVerdict:
@@ -136,9 +132,9 @@ def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
     return linear_form(r, [1] * r, field)
 
 
-def _is_all_ones(F: HomogeneousPolynomial, r: int) -> bool:
-    """Whether F is x_1 + ... + x_r, in r variables."""
-    return (F.degree == 1 and len(F.terms) == F.num_vars == r
+def _is_all_ones(F: HomogeneousPolynomial) -> bool:
+    """Whether F is x_1 + ... + x_r, in its r variables."""
+    return (F.degree == 1 and len(F.terms) == F.num_vars
             and all(c == 1 for c in F.terms.values()))
 
 
@@ -181,8 +177,7 @@ class _Failing(Exception):
     """A computed degree of a dropped form is not maximal."""
 
 
-def _verdict_for_form(cache, L, profile, level, part=None,
-                      last=True) -> WLPVerdict:
+def _verdict_for_form(cache, L, last=True) -> WLPVerdict:
     """Every degree's rank of x L : (R/I)_d -> (R/I)_{d+1}, d = 0..D, by
     the rule of the module docstring: scan up from the first step with
     h_d >= h_{d+1} to the first surjective step d_s (Prop. 2.1(a)); if the
@@ -191,16 +186,19 @@ def _verdict_for_form(cache, L, profile, level, part=None,
     degrees above d_s and below d_i off h, and compute each one between
     once.
 
-    part is the monomial ideal's MonomialPart when L is its all-ones form,
-    else None: each rank then comes from part.all_ones_rank, which splits
-    or reads (the module docstring), in any characteristic.
+    h is the engine's profile. A monomial ideal reads levelness off its
+    part (another's part may lack a pure power) and its all-ones ranks
+    from part.all_ones_rank, which splits or reads, in any characteristic.
 
     last=False is for a form the caller drops if it fails: the first
     computed degree that is neither injective nor surjective raises
     _Failing, and no later degree is computed."""
+    profile = cache.profile()
     h = profile.values + (0,)  # h_{D+1} = 0
     D = profile.socle_degree
     p = cache.field.characteristic
+    monomial = cache.I.is_monomial
+    part = cache.shared if monomial and _is_all_ones(L) else None
     ranks = {}
     read = set()  # degrees whose rank was read from an earlier split
 
@@ -221,7 +219,7 @@ def _verdict_for_form(cache, L, profile, level, part=None,
     first = next(d for d in range(D + 1) if h[d] >= h[d + 1])
     d_s = next(d for d in range(first, D + 1) if rank(d) == h[d + 1])
     d_i = -1
-    if level:
+    if monomial and cache.shared.is_level:
         d_i = next((d for d in range(d_s, -1, -1) if rank(d) == h[d]), -1)
     reports, failures = [], []
     for d in range(D + 1):
@@ -275,15 +273,9 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None) -> WLPVerdict:
     cache = SliceCache(I, field)
     forms = candidate_forms(I, field) if forms is None else _distinct(forms)
     _require_forms(cache, forms)
-    profile = cache.profile()
-    level, part = False, None
-    if I.is_monomial:  # the part's field-independent facts
-        level, part = cache.shared.is_level, cache.shared
     for n, L in enumerate(forms, 1):
-        ones = part if _is_all_ones(L, I.num_vars) else None
         try:
-            verdict = _verdict_for_form(cache, L, profile, level, ones,
-                                        last=n == len(forms))
+            verdict = _verdict_for_form(cache, L, last=n == len(forms))
         except _Failing:
             continue  # fails; only the last form's report is returned
         verdict.forms_tried = n
@@ -291,7 +283,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None) -> WLPVerdict:
             return verdict
     # every form failed: conclusive if they include the forms of a proof
     if I.is_monomial:  # all-ones decides the WLP (MMN Prop. 2.2)
-        verdict.conclusive = any(_is_all_ones(L, I.num_vars) for L in forms)
+        verdict.conclusive = any(map(_is_all_ones, forms))
     else:  # every special form of J_r, r proven: if tried, none is new
         special = _recognized_special_forms(I, field)
         verdict.conclusive = (I.num_vars in _PROVEN_SPECIAL_R and bool(special)

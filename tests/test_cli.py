@@ -189,6 +189,31 @@ def test_usage_error_bad_gens(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hilbert", "--gens", "x^2,y^3", "--vars", "x,y,z"],
+     "variable index 2 has no pure power"),
+    (["hilbert", "--gens", "x^2,y^2+x*y", "--vars", "x,y,z"],
+     "no vanishing slice below degree cap 4"),
+    (["wlp", "--gens", "x^2,y^2+x*y", "--vars", "x,y,z", "--json"],
+     "no vanishing slice below degree cap 4"),
+    # det M keeps a cofactor with no prime factor up to 10^6
+    (["detm", "--alpha", "2", "--beta", "19", "--gamma", "33", "--t", "26"],
+     "incomplete factorization of 8045883799938672755"),
+])
+def test_fact_about_the_input_exits_1_with_one_line(capsys, argv, message):
+    """A non-Artinian quotient or a det M that factor leaves unresolved is
+    an answer about the input: exit 1 and one stderr line, with no usage
+    banner and no traceback."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    assert captured.err.startswith("lefschetz: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert "usage:" not in captured.err and "Traceback" not in captured.err
+
+
 def test_sweep_reproducible(tmp_path, capsys):
     p1 = tmp_path / "one.jsonl"
     p2 = tmp_path / "two.jsonl"

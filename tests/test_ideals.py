@@ -87,6 +87,15 @@ def test_unit_ideal_rejected(text, variables):
         HomogeneousIdeal(2, [one])
 
 
+def test_ideal_rejects_a_zero_generator_and_a_ring_mismatch():
+    # parse_ideal refuses both first, so only a direct construction meets
+    # these checks
+    with pytest.raises(ValueError, match="zero generator"):
+        HomogeneousIdeal(2, [HomogeneousPolynomial(2, 2, {})])
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        HomogeneousIdeal(3, [HomogeneousPolynomial.monomial(2, (2, 0))])
+
+
 def test_equal_ideals_built_separately_answer_alike():
     # through an engine of J_3, once passed in, the profile of J_4 came out
     # as J_3's (1, 3, 6, 6, 3)
@@ -250,6 +259,11 @@ def test_socle_non_level():
     rep = socle_report(parse_ideal("x^2,y^4,x*y^2", ["x", "y"], QQ))
     assert not rep.is_level
     assert rep.socle_degrees == [2, 3]  # x*y and y^3
+
+
+def test_socle_report_refuses_a_non_monomial_ideal():
+    with pytest.raises(ValueError, match="monomial ideals only"):
+        socle_report(ideal("x^2,y^2,z^2+x*y"))
 
 
 def test_socle_of_a_non_artinian_ideal_is_an_error(monkeypatch):

@@ -20,9 +20,9 @@ from lefschetz import ideals
 from lefschetz.families import Irr, Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (MONOMIAL_PARTS, HomogeneousIdeal,
-                              MonomialPart, NotArtinianError, SliceCache,
-                              hilbert_profile, monomial_part, parse_ideal,
-                              socle_report, standard_monomials)
+                              NotArtinianError, SliceCache, hilbert_profile,
+                              monomial_part, parse_ideal, socle_report,
+                              standard_monomials)
 from lefschetz.matrices import IntRowEchelon
 from lefschetz.rings import HomogeneousPolynomial, linear_form
 from lefschetz.sweeps import level_aci_grid
@@ -323,21 +323,22 @@ def test_level_chars_pass_builds_each_map_rows_once(monkeypatch):
     """On the level-chars grid, each point decided in every characteristic
     of the benchmark in turn (the memo cleared per point), the rows of
     each map are built at most once: the rows of J's slice
-    (MonomialPart.restriction_rows), whose split every later field reads.
-    No decision of these monomial ideals builds the rows F*m of a map."""
+    (ideals._slice_rows), whose split every later field reads.
+    No decision of these monomial ideals builds the rows F*m of a map, or
+    a slice echelon, the other caller of _slice_rows."""
     calls, direct = [], []
-    rows = MonomialPart.restriction_rows
+    rows = ideals._slice_rows
     multiple_rows = SliceCache.multiple_rows
 
-    def counted(self, e):
+    def counted(gens, part, e):
         calls.append((point, e))
-        return rows(self, e)
+        return rows(gens, part, e)
 
     def counted_direct(self, poly, monomials, d):
         direct.append((point, d))
         return multiple_rows(self, poly, monomials, d)
 
-    monkeypatch.setattr(MonomialPart, "restriction_rows", counted)
+    monkeypatch.setattr(ideals, "_slice_rows", counted)
     monkeypatch.setattr(SliceCache, "multiple_rows", counted_direct)
     for point in level_aci_grid(9, 3):
         monomial_part.cache_clear()

@@ -121,6 +121,12 @@ def test_kernel_witness_none_when_injective():
     assert kernel_witness(I, QQ, 1) is None
 
 
+def test_kernel_witness_none_where_the_quotient_slice_is_zero():
+    # the socle degree of (x^2, y^2, z^2) is 3, so (R/I)_4 = 0
+    for text in ("x^2,y^2,z^2", "x^2,y^2,z^2+x*y"):
+        assert kernel_witness(ideal(text), QQ, 4) is None
+
+
 def test_kernel_witness_rejects_a_form_that_is_not_linear():
     # x * x^2 is injective on (R/I)_1 (rank 3 = h_1); the witness check
     # projects the image onto degree 2, so it cannot catch a wrong witness
