@@ -3,26 +3,37 @@
 All quotient computations are degree-slice linear algebra: the span of a
 degree-d slice of an ideal is row-reduced against the monomial basis of R_d.
 For monomial ideals the slice span is exactly the span of the non-standard
-monomials, so quotient dimensions reduce to counting standard monomials.
+monomials, and the quotient dimensions come from the numerator lemma.
 
 What does not depend on the field is computed once per process and shared:
 the standard monomials of the monomial part in each degree, their column
 index, and the socle of a monomial ideal live in a ``MonomialPart``, kept
 by ``monomial_part`` in an LRU memo of MONOMIAL_PARTS (two) entries keyed
 by (number of variables, sorted distinct monomial generators). The socle is
-read off the generators, with no monomial enumerated: its monomials are the
-corners of the staircase of standard monomials (Alexander duality; Miller
-and Sturmfels, Combinatorial Commutative Algebra, ch. 5). A ``SliceCache``
-holds one part and adds only the field-dependent echelons of the
-non-monomial slice rows, so an ideal decided in several characteristics, or
-two ideals with an equal monomial part, enumerate their monomials once, and
-a monomial ideal builds no echelon for its Hilbert profile. For the
-monomial ideal itself the part also owns its Hilbert profile (a
-``HilbertProfile``, the one type for Hilbert functions and h-vectors),
+read off the generators: its monomials are the corners of the staircase
+(Alexander duality; Miller and Sturmfels, Combinatorial Commutative
+Algebra, ch. 5). A ``SliceCache`` holds one part and adds only the
+field-dependent echelons of the non-monomial slice rows. For the monomial
+ideal itself the part also owns its Hilbert profile (a ``HilbertProfile``,
+the one type for Hilbert functions and h-vectors), by the numerator lemma,
 whether its quotient is level, and the rank of each all-ones map in every
-characteristic, by the lemma below. The engine decides the Artinian test,
-and owns the Hilbert profile of an ideal with polynomial generators. Each
-public entry point, here and in ``wlp``, builds the one engine it reads.
+characteristic, by the restriction lemma; so a monomial decision enumerates
+standard monomials only in r - 1 variables. The engine decides the Artinian
+test, and owns the Hilbert profile of an ideal with polynomial generators.
+Each public entry point, here and in ``wlp``, builds the one engine it reads.
+
+Numerator lemma (Bigatti, "Computation of Hilbert-Poincare series", 1997;
+the K-polynomial of Miller and Sturmfels). Let I be a monomial ideal of
+R = F[x_1, ..., x_r] with minimal generators G. Then HS(R/I) =
+K_G(t)/(1 - t)^r, with K_G in Z[t] the same in every field: K_G =
+prod (1 - t^|g|) if every g in G is a pure power; else K_G = K_G' -
+t^|g| K_G'' for any g in G with two or more variables in its support,
+G' = G minus g and G'' the minimal generators of (G') : g, among the
+m / gcd(m, g), m in G'. So h(d) = sum_k K_k C(d - k + r - 1, r - 1).
+
+Proof. 0 -> R/((G') : g)(-|g|) -> R/(G') -> R/I -> 0, the first map times
+g, is exact; distinct pure powers are a regular sequence (Koszul). G' and
+G'' are smaller than G, and no m in G' divides g, so 1 is not in G''.
 
 Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
 L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
@@ -53,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import factorial, prod
 from operator import add, le
 
@@ -201,16 +213,13 @@ class MonomialPart:
     builds the rows of its slices.
 
     For the monomial ideal itself, the part owns what every decision of it
-    reads, in any field. ``profile`` is its ``HilbertProfile``, None until
-    ``SliceCache.profile`` fills it after the engine's Artinian check, so a
-    part without a pure power of every variable never has one.
-    ``is_level`` says whether its quotient is level. ``all_ones_rank``
-    gives the rank of each all-ones map A_d -> A_{d+1} in every
-    characteristic, from the entry ``all_ones[d]`` = (k, core, rank over Q
-    of the core, D', n) that its first call for d fills (the restriction
-    lemma of the module docstring). This module fills them; every other
-    only reads them. An ideal with other generators shares the part but
-    has its own profile, and none of these describe its quotient."""
+    reads, in any field: ``profile``, its ``HilbertProfile`` by the
+    numerator lemma; ``is_level``; and ``all_ones_rank``, the rank of each
+    all-ones map A_d -> A_{d+1} in every characteristic, from the entry
+    ``all_ones[d]`` = (k, core, rank over Q of the core, D', n) that its
+    first call for d fills (the restriction lemma). This module fills them;
+    every other only reads them. An ideal with other generators shares the
+    part, but none of these describe its quotient."""
 
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
@@ -228,7 +237,6 @@ class MonomialPart:
         self._index: dict[int, dict] = {}
         self._socle: tuple | None = None
         self.all_ones: dict[int, tuple] = {}
-        self.profile: HilbertProfile | None = None
         self._restriction: tuple | None = None
 
     def std(self, d: int) -> tuple:
@@ -336,7 +344,7 @@ class MonomialPart:
             # full rank builds no more
             k, core = unit_split(_slice_rows(images, part, d + 1), n)
             ech = IntRowEchelon(n)
-            entry = self.all_ones[d] = (len(self.std(d + 1)) - n + k,
+            entry = self.all_ones[d] = (self.profile[d + 1] - n + k,
                                         tuple(core), ech.extend(core),
                                         ech.lead_product, n)
         k, core, rank, lead, n = entry
@@ -345,12 +353,57 @@ class MonomialPart:
         return k + rank, read
 
     @cached_property
+    def profile(self) -> HilbertProfile:
+        """The Hilbert profile by the numerator lemma: r running sums of K,
+        whose last r are 0. NotArtinianError, with ``reason``, as socle."""
+        if self.reason:
+            raise NotArtinianError(self.reason)
+        h = _hilbert_numerator(_minimal(self.mono_gens))
+        for _ in range(self.num_vars):
+            h = list(accumulate(h))
+        return HilbertProfile(tuple(h))
+
+    @cached_property
     def is_level(self) -> bool:
         """Whether the quotient is level: its socle, sorted by degree, has
         its first and last monomial in one degree. NotArtinianError, with
         ``reason``, as for ``socle``."""
         socle = self.socle()
         return sum(socle[0]) == sum(socle[-1])
+
+
+def _minimal(gens) -> list:
+    """The exponent tuples of gens no other divides, each once, by degree."""
+    out = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(map(le, m, g)) for m in out):
+            out.append(g)
+    return out
+
+
+def _hilbert_numerator(gens: list) -> list:
+    """The coefficients of K_G(t), HS(R/(G)) = K_G(t)/(1 - t)^r, for
+    minimal generators G = gens (``_minimal``), by the numerator lemma of
+    the module docstring."""
+    mixed = [g for g in gens if sum(map(bool, g)) > 1]
+    if not mixed:
+        K = [1]
+        for g in gens:
+            K = _minus_shifted(K, K, sum(g))
+        return K
+    g = mixed[-1]
+    rest = [m for m in gens if m is not g]
+    colon = _minimal(tuple(a - b if a > b else 0 for a, b in zip(m, g))
+                     for m in rest)
+    return _minus_shifted(_hilbert_numerator(rest),
+                          _hilbert_numerator(colon), sum(g))
+
+
+def _minus_shifted(K: list, C: list, a: int) -> list:
+    """The coefficients of K(t) - t^a C(t), from those of K and C."""
+    K = K + [0] * (a + len(C) - len(K))
+    return [k - (C[i - a] if 0 <= i - a < len(C) else 0)
+            for i, k in enumerate(K)]
 
 
 def _slice_rows(gens, part: MonomialPart, e: int):
@@ -413,12 +466,9 @@ class SliceCache:
 
     The standard monomials, their index and the socle do not depend on the
     field either: they come from the MonomialPart of I's monomial generators,
-    shared through the monomial_part memo (keyed by the number of variables
-    and the sorted distinct monomial generators, MONOMIAL_PARTS = 2 entries)
-    with every engine of an equal monomial part, in any characteristic. An
-    ideal with no polynomial generators reads its Hilbert profile from the
-    part too: the first engine that needs it fills it (``profile``), and
-    every later engine of that ideal, in any field, starts with it.
+    shared through the monomial_part memo with every engine of an equal
+    monomial part, in any characteristic. A monomial ideal reads its Hilbert
+    profile from the part too (``MonomialPart.profile``).
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -432,7 +482,7 @@ class SliceCache:
             I.num_vars, tuple(sorted(set(I.monomial_generators))))
         self._ech: dict[int, IntRowEchelon] = {}
         self._reason: str | None = None
-        self._profile = None if self.poly_gens else self.shared.profile
+        self._profile: HilbertProfile | None = None
 
     def std(self, d: int) -> tuple:
         return self.shared.std(d)
@@ -527,18 +577,18 @@ class SliceCache:
             raise NotArtinianError(self.not_artinian())
 
     def profile(self) -> HilbertProfile:
-        """h(d) = dim (R/I)_d from d = 0 until it vanishes, computed once;
-        NotArtinianError when R/I is not Artinian. A monomial ideal counts
-        its part's standard monomials, so it builds no echelon, and keeps
-        the profile in the part, where every later engine reads it."""
+        """h(d) = dim (R/I)_d from d = 0 until it vanishes; NotArtinianError
+        when R/I is not Artinian. A monomial ideal reads its part's profile
+        (the numerator lemma), so it enumerates no monomial and builds no
+        echelon; any other computes its own once, slice by slice."""
+        self.require_artinian()
+        if not self.poly_gens:
+            return self.shared.profile
         if self._profile is None:
-            self.require_artinian()
             values = [self.dim(0)]
             while values[-1]:
                 values.append(self.dim(len(values)))
             self._profile = HilbertProfile(tuple(values))
-            if not self.poly_gens:
-                self.shared.profile = self._profile
         return self._profile
 
 
@@ -587,11 +637,10 @@ class HilbertProfile:
 
 def hilbert_profile(I: HomogeneousIdeal,
                     field: FieldSpec = QQ) -> HilbertProfile:
-    """h(d) = dim (R/I)_d, computed degree by degree until it vanishes, by
-    the engine (SliceCache.profile). NotArtinianError, with the engine's
-    reason, when R/I is not Artinian.
-
-    Field-independent for monomial ideals (standard-monomial counting)."""
+    """h(d) = dim (R/I)_d until it vanishes, by the engine
+    (SliceCache.profile); NotArtinianError, with the engine's reason, when
+    R/I is not Artinian. Field-independent for monomial ideals, whose
+    profile comes from the Hilbert-series numerator (the numerator lemma)."""
     return SliceCache(I, field).profile()
 
 

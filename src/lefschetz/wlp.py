@@ -26,12 +26,14 @@ them. DegreeReport.path says which of the three gave a degree its rank,
 or that a computed rank was read from an integer one (below).
 
 Work shared across characteristics. A monomial ideal's MonomialPart owns
-its Hilbert profile, whether it is level, and the rank of its all-ones map
-in each degree (``MonomialPart.all_ones_rank``, by the restriction lemma
-of ``ideals``): the first decision that needs a degree, in any
-characteristic, splits the rows of the restriction's slice over Z once,
-and every later decision of that ideal, char 0 or p, reads the rank from
-that split (path INTEGER). So a decision in a further characteristic
+its Hilbert profile, from the Hilbert-series numerator, whether it is
+level, and the rank of its all-ones map in each degree
+(``MonomialPart.all_ones_rank``, by the restriction lemma of ``ideals``):
+the first decision that needs a degree, in any characteristic, splits the
+rows of the restriction's slice over Z once, and every later decision of
+that ideal, char 0 or p, reads the rank from that split (path INTEGER).
+So a first decision enumerates standard monomials only in r - 1
+variables, the restriction's, and one in a further characteristic
 enumerates nothing and builds no profile or socle; it reads h once,
 padded with h_{D+1} = 0, and builds each DegreeReport and the failure
 degrees in one pass. mult_map_rank and kernel_witness neither read nor
