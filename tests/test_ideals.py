@@ -214,6 +214,78 @@ def test_socle_is_the_definition_on_named_ideals(name, monkeypatch):
             gens, r), gens
 
 
+def _enumerated_profile(gens, r):
+    """h(d), the number of degree-d standard monomials, until it vanishes:
+    the enumeration the numerator lemma replaces, as an oracle."""
+    values = [len(standard_monomial_tuples(gens, r, 0))]
+    while values[-1]:
+        values.append(len(standard_monomial_tuples(gens, r, len(values))))
+    return tuple(values[:-1])
+
+
+@st.composite
+def artinian_monomial_gens(draw):
+    """r = 1..6 variables: a pure power of every variable, then 0-8 more
+    generators, each a random monomial (often redundant), a duplicate of an
+    earlier generator or a further pure power, in a shuffled order."""
+    r = draw(st.integers(1, 6))
+    top = 4 if r <= 4 else 3
+    gens = [tuple(draw(st.integers(1, top)) if j == i else 0
+                  for j in range(r)) for i in range(r)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["monomial", "duplicate", "pure power"]))
+        if kind == "monomial":
+            g = draw(st.tuples(*[st.integers(0, top)] * r).filter(any))
+        elif kind == "duplicate":
+            g = draw(st.sampled_from(gens))
+        else:
+            i, a = draw(st.integers(0, r - 1)), draw(st.integers(1, top + 2))
+            g = tuple(a if j == i else 0 for j in range(r))
+        gens.append(g)
+    return r, draw(st.permutations(gens))
+
+
+@given(artinian_monomial_gens())
+@settings(max_examples=300, deadline=None)
+def test_numerator_profile_is_the_count_of_standard_monomials(case):
+    r, gens = case
+    h = _enumerated_profile(gens, r)
+    assert tuple(MonomialPart(r, tuple(sorted(set(gens)))).profile) == h
+    assert tuple(hilbert_profile(_ideal_of(r, gens), GF(2))) == h
+
+
+@pytest.mark.parametrize("spec", [Irkd(8, 2, 3), Irr(6)], ids=repr)
+def test_numerator_profile_on_named_ideals(spec, monkeypatch):
+    """Irkd(8,2,3) has 64 generators; neither profile enumerates a
+    monomial."""
+    r, gens = _monomial_gens(spec)
+    h = _enumerated_profile(gens, r)
+
+    def enumerated(*args):
+        raise AssertionError("the profile enumerated standard monomials")
+
+    monkeypatch.setattr(ideals, "standard_monomial_tuples", enumerated)
+    assert tuple(MonomialPart(r, tuple(sorted(set(gens)))).profile) == h
+
+
+@given(artinian_monomial_gens(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_part_without_a_pure_power_has_no_profile_in_any_field(case, data):
+    """Dropping every pure power of x_i leaves a part that raises, in every
+    field, the NotArtinianError that names x_i."""
+    r, gens = case
+    i = data.draw(st.integers(0, r - 1))
+    gens = [g for g in gens if g[i] != sum(g)]
+    reason = f"not Artinian: variable index {i} has no pure power"
+    with pytest.raises(NotArtinianError) as exc:
+        MonomialPart(r, tuple(sorted(set(gens)))).profile
+    assert str(exc.value) == reason
+    for field in (QQ, GF(2), GF(5)):
+        with pytest.raises(NotArtinianError) as exc:
+            hilbert_profile(_ideal_of(r, gens), field)
+        assert str(exc.value) == reason
+
+
 def test_socle_degrees_come_from_the_engine_not_a_given_profile():
     # socle_report used to scan the degrees of a profile it was given: with
     # the profile of (x^2, y^2, z^2) it found no socle of (x^3, y^3, z^3).

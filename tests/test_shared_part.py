@@ -162,6 +162,27 @@ def test_second_characteristic_enumerates_nothing(monkeypatch, spec, first,
     assert set(calls) == (set() if I.is_monomial else {"HilbertProfile"})
 
 
+@pytest.mark.parametrize("spec", [LevelAci(1, 2, 3, 4), Irr(5)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_monomial_decision_enumerates_only_in_r_minus_1_variables(
+        monkeypatch, spec, field):
+    """The profile comes from the Hilbert-series numerator and each all-ones
+    map from the restriction, so the only standard monomials a monomial
+    decision enumerates are those of J, in r - 1 variables."""
+    num_vars = []
+    enumerate_ = ideals.standard_monomial_tuples
+
+    def recorded(mono_gens, r, d):
+        num_vars.append(r)
+        return enumerate_(mono_gens, r, d)
+
+    monkeypatch.setattr(ideals, "standard_monomial_tuples", recorded)
+    monomial_part.cache_clear()
+    I = make_ideal(spec, field)
+    wlp_check(I, field)
+    assert num_vars and set(num_vars) == {I.num_vars - 1}
+
+
 def test_equal_monomial_parts_share_one_profile():
     """Monomial ideals with an equal monomial part have one Hilbert profile
     in every field: the part's."""

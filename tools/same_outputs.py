@@ -81,9 +81,10 @@ DIR is a checkout of the revision to compare against (for instance a
   and the CSV summary.
 
 Where an exit code is not 0, the run's stderr is compared with it. The
-outputs are compared in that order. At the first that differs, the
-tool prints its name and the first line where the two trees part, and
-exits 1. It exits 0 when every output is the same.
+outputs are compared in that order, every one of them: the tool prints
+``same: NAME`` for each that is the same, and ``DIFFERENT: NAME`` with the
+first line where the two trees part for each that is not. It exits 1 when
+any output differed, and 0 when every output is the same.
 """
 
 from __future__ import annotations
@@ -256,12 +257,14 @@ def main(argv=None) -> int:
     base = args.base_tree.resolve()
     if not (base / "src" / "lefschetz" / "__init__.py").is_file():
         ap.error(f"no lefschetz sources under {base / 'src'}")
+    differed = False
     for (name, a), (_, b) in zip(outputs(base), outputs(ROOT)):
-        if a != b:
+        if a == b:
+            print(f"same: {name}")
+        else:
             print(f"DIFFERENT: {name}, {first_difference(a, b)}")
-            return 1
-        print(f"same: {name}")
-    return 0
+            differed = True
+    return int(differed)
 
 
 if __name__ == "__main__":
