@@ -24,3 +24,12 @@ def test_every_tracer_target_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(meth)), attr
         else:
             assert callable(getattr(owner, attr, None)), f"{modname}.{attr}"
+
+
+def test_the_prime_the_tracer_reads_resolves():
+    """The tracer names each mod_rank span by comparing p with
+    lefschetz.matrices._CERT_PRIME, read only when a wrapped mod_rank runs.
+    No decision calls mod_rank, so neither install() nor a traced benchmark
+    run would notice the name gone."""
+    import lefschetz.matrices
+    assert isinstance(getattr(lefschetz.matrices, "_CERT_PRIME", None), int)
