@@ -23,17 +23,12 @@ test, and owns the Hilbert profile of an ideal with polynomial generators.
 Each public entry point, here and in ``wlp``, builds the one engine it reads.
 
 Numerator lemma (Bigatti, "Computation of Hilbert-Poincare series", 1997;
-the K-polynomial of Miller and Sturmfels). Let I be a monomial ideal of
-R = F[x_1, ..., x_r] with minimal generators G. Then HS(R/I) =
-K_G(t)/(1 - t)^r, with K_G in Z[t] the same in every field: K_G =
-prod (1 - t^|g|) if every g in G is a pure power; else K_G = K_G' -
-t^|g| K_G'' for any g in G with two or more variables in its support,
-G' = G minus g and G'' the minimal generators of (G') : g, among the
-m / gcd(m, g), m in G'. So h(d) = sum_k K_k C(d - k + r - 1, r - 1).
-
-Proof. 0 -> R/((G') : g)(-|g|) -> R/(G') -> R/I -> 0, the first map times
-g, is exact; distinct pure powers are a regular sequence (Koszul). G' and
-G'' are smaller than G, and no m in G' divides g, so 1 is not in G''.
+the K-polynomial of Miller and Sturmfels). For a monomial ideal I of
+R = F[x_1, ..., x_r], HS(R/I) = K_I(t)/(1 - t)^r with K_I in Z[t] the same
+in every field: K_I = prod (1 - t^a_i) for I = (x_1^a_1, ..., x_r^a_r),
+and K_I = K_(I + (p)) + t^e K_(I : p) for any p = x_j^e. Proof: 0 ->
+R/(I : p)(-e) -> R/I -> R/(I + p) -> 0, the first map times p, is exact,
+and the x_i^a_i are a regular sequence (Koszul).
 
 Restriction lemma. Let I be a monomial ideal of R = Z[x_1, ..., x_r],
 L = x_1 + ... + x_r, A = R/I with Hilbert function h, S = Z[x_2, ..., x_r]
@@ -64,9 +59,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import factorial, prod
-from operator import add, le
+from operator import add, le, lt
 
 from .fields import QQ, FieldSpec
 from .matrices import IntRowEchelon, clear_denominators, unit_split
@@ -224,12 +219,7 @@ class MonomialPart:
     def __init__(self, num_vars: int, mono_gens: tuple):
         self.num_vars = num_vars
         self.mono_gens = mono_gens
-        powers = [0] * num_vars
-        for g in mono_gens:
-            support = [i for i, a in enumerate(g) if a]
-            if len(support) == 1:
-                i = support[0]
-                powers[i] = min(g[i], powers[i] or g[i])
+        powers = _pure_and_mixed([0] * num_vars, mono_gens)[0]
         self.powers = tuple(powers)
         self.reason = (f"not Artinian: variable index {powers.index(0)} has "
                        "no pure power" if 0 in powers else "")
@@ -355,10 +345,10 @@ class MonomialPart:
     @cached_property
     def profile(self) -> HilbertProfile:
         """The Hilbert profile by the numerator lemma: r running sums of K,
-        whose last r are 0. NotArtinianError, with ``reason``, as socle."""
+        which end in zeros. NotArtinianError, with ``reason``, as socle."""
         if self.reason:
             raise NotArtinianError(self.reason)
-        h = _hilbert_numerator(_minimal(self.mono_gens))
+        h = _hilbert_numerator(self.powers, self.mono_gens)
         for _ in range(self.num_vars):
             h = list(accumulate(h))
         return HilbertProfile(tuple(h))
@@ -372,38 +362,47 @@ class MonomialPart:
         return sum(socle[0]) == sum(socle[-1])
 
 
-def _minimal(gens) -> list:
-    """The exponent tuples of gens no other divides, each once, by degree."""
-    out = []
-    for g in sorted(set(gens), key=sum):
-        if not any(all(map(le, m, g)) for m in out):
-            out.append(g)
-    return out
+def _hilbert_numerator(caps: tuple, gens) -> list:
+    """The coefficients of K(t), HS(R/I) = K(t)/(1 - t)^r, for I generated
+    by the pure powers x_i^caps[i] and the monomials gens, by the numerator
+    lemma, on a stack rather than by recursion. The pivot is x_j^e, x_j in
+    the most generators of two or more variables and e the median of its
+    exponents there: I + p keeps those below e, and I : p lowers all by e.
+    Each has fewer generators or lower exponents, so the stack empties."""
+    K = [0]
+    todo = [(0, *_pure_and_mixed(caps, gens))]
+    while todo:
+        shift, caps, mixed = todo.pop()
+        if not mixed:
+            P = [0] * shift + [1]
+            for a in caps:
+                P = [c - (P[i - a] if i >= a else 0)
+                     for i, c in enumerate(P + [0] * a)]
+            K = list(map(sum, zip_longest(K, P, fillvalue=0)))
+            continue
+        counts = [sum(map(bool, column)) for column in zip(*mixed)]
+        j = counts.index(max(counts))
+        powers = sorted(g[j] for g in mixed if g[j])
+        e = powers[len(powers) // 2]
+        todo.append((shift, caps[:j] + [e] + caps[j + 1:],
+                     [g for g in mixed if g[j] < e]))
+        todo.append((shift + e, *_pure_and_mixed(
+            caps[:j] + [caps[j] - e] + caps[j + 1:],
+            [g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in mixed])))
+    return K
 
 
-def _hilbert_numerator(gens: list) -> list:
-    """The coefficients of K_G(t), HS(R/(G)) = K_G(t)/(1 - t)^r, for
-    minimal generators G = gens (``_minimal``), by the numerator lemma of
-    the module docstring."""
-    mixed = [g for g in gens if sum(map(bool, g)) > 1]
-    if not mixed:
-        K = [1]
-        for g in gens:
-            K = _minus_shifted(K, K, sum(g))
-        return K
-    g = mixed[-1]
-    rest = [m for m in gens if m is not g]
-    colon = _minimal(tuple(a - b if a > b else 0 for a, b in zip(m, g))
-                     for m in rest)
-    return _minus_shifted(_hilbert_numerator(rest),
-                          _hilbert_numerator(colon), sum(g))
-
-
-def _minus_shifted(K: list, C: list, a: int) -> list:
-    """The coefficients of K(t) - t^a C(t), from those of K and C."""
-    K = K + [0] * (a + len(C) - len(K))
-    return [k - (C[i - a] if 0 <= i - a < len(C) else 0)
-            for i, k in enumerate(K)]
+def _pure_and_mixed(caps, gens) -> tuple[list, list]:
+    """(caps lowered to the pure powers among gens, a cap of 0 standing for
+    none, and, if no cap is 0, the other generators no x_i^caps[i] divides)."""
+    caps, mixed = list(caps), []
+    for g in gens:
+        if sum(map(bool, g)) > 1:
+            mixed.append(g)
+        else:  # x_i^a, a = sum(g)
+            i = g.index(sum(g))
+            caps[i] = min(caps[i] or g[i], g[i])
+    return caps, [g for g in mixed if all(map(lt, g, caps))]
 
 
 def _slice_rows(gens, part: MonomialPart, e: int):

@@ -23,6 +23,14 @@ def test_hilbert_family(capsys):
     assert out.strip() == "1 3 6 6 3"
 
 
+def test_hilbert_family_with_over_a_thousand_mixed_generators(capsys):
+    # Irkd(14,2,4): 14 squares and 1001 squarefree quartics
+    code, out = run(capsys, "hilbert", "--family", "irkd",
+                    "--r", "14", "--k", "2", "--d", "4")
+    assert code == 0
+    assert out.strip() == "1 14 91 364"
+
+
 def test_hilbert_gens_json(capsys):
     code, out = run(capsys, "hilbert", "--gens", "x^2,y^2,z^2",
                     "--vars", "x,y,z", "--json")

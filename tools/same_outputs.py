@@ -68,6 +68,10 @@ DIR is a checkout of the revision to compare against (for instance a
   and ``wlp --family jr --r 3 --char 3 --char 7 --strategy paper --trials
   2 --seed 9 --json`` (the forms each strategy maps to, with the flags it
   takes): exit code and stdout;
+- ``hilbert --family irkd --k 2 --json`` at (r, d) = (14, 4) and (46, 2),
+  and ``wlp --family irkd --r 14 --k 2 --d 4 --char 0 --char 2 --json``
+  (over a thousand generators of two or more variables, each a Hilbert
+  profile of few standard monomials): exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -185,7 +189,13 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                 " --json",
                 ["wlp", "--family", "jr", "--r", "3", "--char", "3",
                  "--char", "7", "--strategy", "paper", "--trials", "2",
-                 "--seed", "9", "--json"])])
+                 "--seed", "9", "--json"])]
+            + [(f"hilbert Irkd({r},2,{d}) --json",
+                ["hilbert", "--family", "irkd", "--r", str(r), "--k", "2",
+                 "--d", str(d), "--json"]) for r, d in ((14, 4), (46, 2))]
+            + [("wlp Irkd(14,2,4) chars 0, 2 --json",
+                ["wlp", "--family", "irkd", "--r", "14", "--k", "2", "--d",
+                 "4", "--char", "0", "--char", "2", "--json"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
