@@ -130,9 +130,7 @@ def family_spec(args, parser):
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         parser.error(f"--family {args.family} needs {', '.join(missing)}")
-    spec = cls(*(getattr(args, flag) for flag in flags))
-    spec.validate()
-    return spec
+    return cls(*(getattr(args, flag) for flag in flags))
 
 
 def fields_from_chars(chars, parser):

@@ -1,6 +1,7 @@
 """Constructors for the studied ideal families, plus the arithmetic
 predicates (semistability, mod-3 obstruction, conjecture cases) and graded
-Betti tables.
+Betti tables. A family spec checks its parameters when it is made
+(ValueError), so every spec in hand is valid.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Irkd:
     k: int
     d: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.r < 2 or self.k < 1 or not 2 <= self.d <= self.r:
             raise ValueError(f"Irkd needs r >= 2, k >= 1, 2 <= d <= r; got {self}")
 
@@ -33,7 +34,7 @@ class Irk:
     r: int
     k: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.r < 2 or self.k < 1:
             raise ValueError(f"Irk needs r >= 2, k >= 1; got {self}")
 
@@ -42,7 +43,7 @@ class Irk:
 class Irr:
     r: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.r < 3:
             raise ValueError(f"Irr needs r >= 3; got {self}")
 
@@ -51,7 +52,7 @@ class Irr:
 class Jr:
     r: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.r < 3:
             raise ValueError(f"Jr needs r >= 3; got {self}")
 
@@ -67,7 +68,7 @@ class Aci3:
     beta: int
     gamma: int
 
-    def validate(self):
+    def __post_init__(self):
         ok = (0 <= self.alpha < self.a and 0 <= self.beta < self.b
               and 0 <= self.gamma < self.c)
         if not ok:
@@ -87,7 +88,7 @@ class LevelAci:
     gamma: int
     t: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.t < 1 or not 1 <= self.alpha <= self.beta <= self.gamma:
             raise ValueError(f"LevelAci needs t >= 1 and 1 <= alpha <= beta <= gamma; got {self}")
 
@@ -104,7 +105,7 @@ class INJN:
     variant: str = "power"
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.N < 1:
             raise ValueError("INJN needs N >= 1")
         if self.variant not in ("power", "general"):
@@ -119,7 +120,6 @@ def _pure_power(r: int, i: int, k: int) -> HomogeneousPolynomial:
 
 
 def make_ideal(spec: FamilySpec, field: FieldSpec) -> HomogeneousIdeal:
-    spec.validate()
     if isinstance(spec, Irkd):
         r = spec.r
         gens = [_pure_power(r, i, spec.k) for i in range(r)]
@@ -190,7 +190,6 @@ def general_form(num_vars: int, degree: int, field: FieldSpec, seed: int):
 def aci3_mod3_obstruction(spec: Aci3) -> bool:
     """True iff a+b+c+alpha+beta+gamma is divisible by 3, i.e. WLP failure in
     characteristic zero is not excluded."""
-    spec.validate()
     total = spec.a + spec.b + spec.c + spec.alpha + spec.beta + spec.gamma
     return total % 3 == 0
 
@@ -204,7 +203,6 @@ class LevelAciPredicates:
 
 
 def predicates(spec: LevelAci) -> LevelAciPredicates:
-    spec.validate()
     al, be, ga, t = spec.alpha, spec.beta, spec.gamma, spec.t
     s3 = al + be + ga
     semistable = ga <= 2 * (al + be) and 3 * t >= s3
@@ -253,7 +251,6 @@ def betti_table(spec: FamilySpec) -> BettiTable:
     if isinstance(spec, (Irr, Jr)):
         spec = Irk(spec.r, spec.r)
     if isinstance(spec, Irk):
-        spec.validate()
         r, k = spec.r, spec.k
         positions = [{0: 1}]
         for i in range(1, r):
@@ -267,7 +264,6 @@ def betti_table(spec: FamilySpec) -> BettiTable:
     if isinstance(spec, LevelAci):
         spec = spec.as_aci3()
     if isinstance(spec, Aci3):
-        spec.validate()
         a, b, c = spec.a, spec.b, spec.c
         al, be, ga = spec.alpha, spec.beta, spec.gamma
         pos1: dict[int, int] = {}

@@ -97,10 +97,6 @@ class HomogeneousIdeal:
     def polynomial_generators(self) -> list:
         return [g for g in self.generators if not g.is_term]
 
-    def degree_cap(self) -> int:
-        """Crude Artinian-detection bound: sum of the generator degrees."""
-        return sum(g.degree for g in self.generators)
-
 
 class NotArtinianError(ValueError):
     pass
@@ -124,9 +120,7 @@ def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
     A recursion over the exponents, fixed from the first variable on. The
     exponent of variable i stays below the least i-th exponent of the
     generators whose support ends at i and whose earlier exponents divide
-    the fixed prefix, so no divisible monomial is ever built. The last
-    exponent, forced by the degree, is checked in the loop over the one
-    before.
+    the fixed prefix, so no divisible monomial is ever built.
     """
     if num_vars == 0:
         return [()] if d == 0 and not mono_gens else []
@@ -146,30 +140,18 @@ def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
     room = [0] * (num_vars + 1)
     for i in range(num_vars - 1, -1, -1):
         room[i] = room[i + 1] + caps[i]
-    if d > room[0]:
-        return []
-    if num_vars == 1:
-        return [(d,)]
-    top = num_vars - 1
-    last_ending = ending[top]
     out = []
 
     def extend(prefix, i, rest):
+        if i == num_vars:
+            out.append(prefix)  # every exponent fixed, rest is 0
+            return
         cap = caps[i]
         for head, a in ending[i]:
             if a <= cap and all(map(le, head, prefix)):
                 cap = a - 1
-        leaf = i + 1 == top
         for a in range(min(rest, cap), max(0, rest - room[i + 1]) - 1, -1):
-            m, b = prefix + (a,), rest - a  # b <= caps[i + 1], by room
-            if not leaf:
-                extend(m, i + 1, b)
-                continue
-            for head, e in last_ending:
-                if e <= b and all(map(le, head, m)):
-                    break
-            else:
-                out.append(m + (b,))
+            extend(prefix + (a,), i + 1, rest - a)
 
     extend((), 0, d)
     return out
@@ -181,7 +163,7 @@ def standard_monomials(I: HomogeneousIdeal, d: int) -> list:
     if not I.is_monomial:
         raise ValueError("standard monomials need a monomial ideal; "
                          "use degree-slice ranks instead")
-    return list(SliceCache(I, QQ).std(d))
+    return list(SliceCache(I, QQ).shared.std(d))
 
 
 # entries the monomial_part memo keeps: an ideal decided in every
@@ -455,19 +437,21 @@ def monomial_part(num_vars: int, mono_gens: tuple) -> MonomialPart:
 class SliceCache:
     """Per-(ideal, field) cache of degree-slice data: the slice engine.
 
-    For each degree d it exposes the standard monomials of the monomial part,
-    the slice rows contributed by the non-monomial generators (projected onto
-    those standard monomials), their echelon, and the quotient dimension. None
-    of these depend on a linear form, so one engine serves the Artinian test,
-    the Hilbert profile, the socle and every form a WLP decision tries. It
+    For each degree d it exposes the slice rows contributed by the
+    non-monomial generators (projected onto the standard monomials of the
+    monomial part), their echelon, and the quotient dimension. None of these
+    depend on a linear form, so one engine serves the Artinian test, the
+    Hilbert profile, the socle and every form a WLP decision tries. It
     decides the first and computes the second once; not_artinian gives every
     NotArtinianError its reason. A generator that vanishes raises ValueError.
 
     The standard monomials, their index and the socle do not depend on the
-    field either: they come from the MonomialPart of I's monomial generators,
-    shared through the monomial_part memo with every engine of an equal
-    monomial part, in any characteristic. A monomial ideal reads its Hilbert
-    profile from the part too (``MonomialPart.profile``).
+    field either. They are the tables of ``shared``, the MonomialPart of I's
+    monomial generators, and callers read them through it
+    (``cache.shared.std(d)``). The part is shared through the monomial_part
+    memo with every engine of an equal monomial part, in any characteristic.
+    A monomial ideal reads its Hilbert profile from the part too
+    (``MonomialPart.profile``).
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
@@ -483,20 +467,14 @@ class SliceCache:
         self._reason: str | None = None
         self._profile: HilbertProfile | None = None
 
-    def std(self, d: int) -> tuple:
-        return self.shared.std(d)
-
-    def index(self, d: int) -> dict:
-        return self.shared.index(d)
-
     def project(self, poly: HomogeneousPolynomial, d: int):
         """Coefficient vector of poly on the degree-d standard monomials.
 
         Terms divisible by the monomial part are dropped: they are zero in
         the quotient by the monomial sub-ideal.
         """
-        idx = self.index(d)
-        row = [0] * len(self.std(d))
+        idx = self.shared.index(d)
+        row = [0] * len(self.shared.std(d))
         for e, c in poly.terms.items():
             i = idx.get(e)
             if i is not None:
@@ -522,7 +500,7 @@ class SliceCache:
         form in another number of variables raises ValueError."""
         self.require_same_ring(poly)
         return list(_product_rows(self._scaled_terms(poly), monomials,
-                                 self.index(d)))
+                                 self.shared.index(d)))
 
     def require_same_ring(self, poly: HomogeneousPolynomial):
         """ValueError for a polynomial in another number of variables than
@@ -543,7 +521,7 @@ class SliceCache:
     def dim(self, d: int) -> int:
         """dim (R/I)_d: for a monomial ideal the part's count of standard
         monomials, with no echelon built."""
-        n = len(self.std(d))
+        n = len(self.shared.std(d))
         return n - self.echelon(d).rank if self.poly_gens else n
 
     def echelon(self, d: int) -> IntRowEchelon:
@@ -551,7 +529,8 @@ class SliceCache:
         reduction oracle for membership in the slice span, over the integers
         in char 0 and over F_p in char p. Callers copy it before adding."""
         if d not in self._ech:
-            ech = IntRowEchelon(len(self.std(d)), self.field.characteristic)
+            ech = IntRowEchelon(len(self.shared.std(d)),
+                                self.field.characteristic)
             ech.extend(self.slice_rows(d))
             self._ech[d] = ech
         return self._ech[d]
@@ -559,11 +538,11 @@ class SliceCache:
     def not_artinian(self) -> str:
         """Why R/I is not Artinian ("" when it is), decided once: a monomial
         ideal by its pure powers; any other by those or else by a vanishing
-        slice up to the degree cap."""
+        slice up to the degree cap, the sum of the generator degrees."""
         if self._reason is None:
             self._reason = self.shared.reason
             if self._reason and not self.I.is_monomial:
-                cap = self.I.degree_cap()
+                cap = sum(g.degree for g in self.I.generators)
                 self._reason = "" if any(
                     self.dim(d) == 0 for d in range(1, cap + 1)) else (
                     f"not Artinian: no vanishing slice below degree cap {cap}")

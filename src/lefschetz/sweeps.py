@@ -29,8 +29,6 @@ HALF_CONJ_MAX_SUM = 12
 HALF_CONJ_MAX_TSPAN = 4
 ACI3_MAX_POWER = 5
 INJN_MAX_N = 4
-CONJ_WLP_MAX_R = 5
-CONJ_WLP_MAX_K = 5
 
 
 def level_aci_grid(max_sum: int, tspan: int):
@@ -72,23 +70,19 @@ def sweep_half_conj(max_sum: int = 9, tspan: int = 3, char=()):
                "verdicts": verdicts}
 
 
-def sweep_conj_wlp_d456(rs=(4, 5), ks=(2, 3, 4, 5), d: int = 4, char=(0,)):
-    """WLP report (no assertion) over the squarefree-degree-d product grid,
-    in each characteristic of char."""
-    if max(rs) > CONJ_WLP_MAX_R or max(ks) > CONJ_WLP_MAX_K:
-        raise ValueError("conj-wlp sweep bounds exceed desk-scale caps")
-    for r in rs:
-        if d > r:
-            continue
-        for k in ks:
+def sweep_conj_wlp_d456(char=(0,)):
+    """WLP report (no assertion) over the squarefree-degree-4 products
+    Irkd(r, k, 4), r in {4, 5}, k in 2..5, in each characteristic of char."""
+    for r in (4, 5):
+        for k in range(2, 6):
             verdicts = {}
             failure_degrees = {}
             for ch in char:
                 f = FieldSpec(ch)
-                v = wlp_check(make_ideal(Irkd(r, k, d), f), f)
+                v = wlp_check(make_ideal(Irkd(r, k, 4), f), f)
                 verdicts[str(ch)] = v.has_wlp
                 failure_degrees[str(ch)] = v.failure_degrees
-            yield {"params": {"r": r, "k": k, "d": d}, "verdicts": verdicts,
+            yield {"params": {"r": r, "k": k, "d": 4}, "verdicts": verdicts,
                    "failure_degrees": failure_degrees}
 
 

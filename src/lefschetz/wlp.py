@@ -126,7 +126,7 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     ``ideals._slice_rows``, until it reaches full rank."""
     ech = cache.echelon(de).copy()
     slice_rank = ech.rank
-    rows = cache.multiple_rows(F, cache.std(d)[::-1], de)
+    rows = cache.multiple_rows(F, cache.shared.std(d)[::-1], de)
     return ech.extend(rows) - slice_rank
 
 
@@ -306,7 +306,7 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     cache.require_artinian()
     if not cache.dim(d):
         return None  # (R/I)_d = 0
-    std_d = cache.std(d)
+    std_d = cache.shared.std(d)
     # row i is L*std_d[i], so the relations' entries follow std_d
     rows = cache.multiple_rows(L, std_d, d + 1)
     ech_d = cache.echelon(d)

@@ -114,7 +114,6 @@ class Aci3Metadata:
 def aci3_metadata(spec: Aci3) -> Aci3Metadata:
     """Inverse system, socle data, and residual ideal of the codim-3 family,
     with the convention that a dual generator with a -1 exponent is removed."""
-    spec.validate()
     a, b, c = spec.a, spec.b, spec.c
     al, be, ga = spec.alpha, spec.beta, spec.gamma
     candidates = [(a - 1, b - 1, ga - 1), (a - 1, be - 1, c - 1),

@@ -54,7 +54,15 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         make_ideal(LevelAci(3, 2, 1, 2), QQ)  # not sorted
     with pytest.raises(ValueError):
-        Aci3(2, 2, 2, 1, 0, 0).validate()  # complete intersection in disguise
+        Aci3(2, 2, 2, 1, 0, 0)  # complete intersection in disguise
+    with pytest.raises(ValueError):
+        Irr(2)
+    with pytest.raises(ValueError):
+        Jr(2)
+    with pytest.raises(ValueError):
+        INJN(0)
+    with pytest.raises(ValueError):
+        betti_table(Irr(2))  # no table for a spec make_ideal refuses
 
 
 def test_aci3_metadata_type_three():

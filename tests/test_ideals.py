@@ -155,6 +155,11 @@ def test_standard_monomial_tuples_edge_cases():
     assert standard_monomial_tuples([(2, 0), (0, 2)], 2, 3) == []
     assert standard_monomial_tuples([], 3, 1) == [(1, 0, 0), (0, 1, 0),
                                                    (0, 0, 1)]
+    assert standard_monomial_tuples([(3,)], 1, 2) == [(2,)]
+    assert standard_monomial_tuples([(3,)], 1, 3) == []
+    assert standard_monomial_tuples([], 1, 4) == [(4,)]
+    assert standard_monomial_tuples([(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+                                    3, 4) == []
 
 
 def _ideal_of(r, gens):

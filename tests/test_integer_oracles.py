@@ -47,9 +47,9 @@ def all_ones_matrix(I, d) -> list:
     monomial ideal, one row per standard monomial of degree d."""
     cache = SliceCache(I, QQ)
     ones = linear_form(I.num_vars, [1] * I.num_vars, QQ)
-    ncols = len(cache.std(d + 1))
+    ncols = len(cache.shared.std(d + 1))
     dense = []
-    for row in cache.multiple_rows(ones, cache.std(d), d + 1):
+    for row in cache.multiple_rows(ones, cache.shared.std(d), d + 1):
         out = [0] * ncols
         for j, a in row.items():
             out[j] = a
@@ -105,7 +105,7 @@ def test_every_prime_of_det_M_divides_the_plateau_lead_product():
         assert read
         lead_product = part.all_ones[d][3]
         report = criterion_report(*point)
-        assert (rank == len(SliceCache(I, QQ).std(d))) == (report.det != 0)
+        assert (rank == len(SliceCache(I, QQ).shared.std(d))) == (report.det != 0)
         if report.det:
             assert abs(lead_product) == abs(report.det), point
             read += 1

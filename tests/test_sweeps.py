@@ -46,7 +46,7 @@ def _injn(rec):
 
 
 KINDS = {"half-conj": (dict(max_sum=9, tspan=2, char=CHARS), _half_conj),
-         "conj-wlp-d456": (dict(rs=(4,), ks=(2, 3), char=(0, 2)), _conj_wlp),
+         "conj-wlp-d456": (dict(char=(0, 2)), _conj_wlp),
          "aci3-mod3": (dict(max_power=3), _aci3),
          "injn": (dict(ns=(2, 3), num_seeds=1), _injn)}
 

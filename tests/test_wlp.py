@@ -152,7 +152,7 @@ def test_kernel_witness_non_monomial():
     # monomials, rank 9), but it lies in the ideal slice: injective on R/I
     data = mult_map_rank(I, L, 3, QQ)
     assert data["rank"] == data["h_d"] == 9
-    assert len(SliceCache(I, QQ).std(3)) == 10
+    assert len(SliceCache(I, QQ).shared.std(3)) == 10
     assert kernel_witness(I, QQ, 3) is None
     # in degree 4 the first relation lies in the ideal slice and is skipped
     w4 = kernel_witness(I, QQ, 4)
@@ -233,15 +233,15 @@ def test_direct_rows_match_projected_rows(case):
     I, F, d, field = case
     cache = SliceCache(I, field)
     de = d + F.degree
-    ncols = len(cache.std(de))
+    ncols = len(cache.shared.std(de))
     base = [cache.project(g.times_monomial(m), de)
             for g in I.polynomial_generators if g.degree <= de
             for m in degree_monomials(I.num_vars, de - g.degree)]
     rows = base + [cache.project(F.times_monomial(m), de)
-                   for m in cache.std(d)]
+                   for m in cache.shared.std(d)]
     direct = [[row.get(j, 0) for j in range(ncols)]  # dense, for rank_rows
               for row in cache.slice_rows(de)
-              + cache.multiple_rows(F, cache.std(d), de)]
+              + cache.multiple_rows(F, cache.shared.std(d), de)]
     span = rank_rows(rows, ncols, field)
     # the direct rows span the same space as the projected ones
     assert rank_rows(direct, ncols, field) == span
@@ -261,10 +261,10 @@ def projected_map_data(I, F, d, field):
                 for m in degree_monomials(I.num_vars, k - g.degree)]
 
     de = d + F.degree
-    n_d, n_de = len(cache.std(d)), len(cache.std(de))
+    n_d, n_de = len(cache.shared.std(d)), len(cache.shared.std(de))
     base = slice_rows(de)
     rows = base + [cache.project(F.times_monomial(m), de)
-                   for m in cache.std(d)]
+                   for m in cache.shared.std(d)]
     h_de = n_de - rank_rows(base, n_de, field)
     h_d = n_d - rank_rows(slice_rows(d), n_d, field)
     rank = rank_rows(rows, n_de, field) - (n_de - h_de) if h_d and h_de else 0
