@@ -143,13 +143,14 @@ def standard_monomial_tuples(mono_gens, num_vars: int, d: int) -> list:
     out = []
 
     def extend(prefix, i, rest):
-        if i == num_vars:
-            out.append(prefix)  # every exponent fixed, rest is 0
-            return
         cap = caps[i]
         for head, a in ending[i]:
             if a <= cap and all(map(le, head, prefix)):
                 cap = a - 1
+        if i + 1 == num_vars:  # the degree forces the last exponent
+            if rest <= cap:
+                out.append(prefix + (rest,))
+            return
         for a in range(min(rest, cap), max(0, rest - room[i + 1]) - 1, -1):
             extend(prefix + (a,), i + 1, rest - a)
 
@@ -446,12 +447,11 @@ class SliceCache:
     NotArtinianError its reason. A generator that vanishes raises ValueError.
 
     The standard monomials, their index and the socle do not depend on the
-    field either. They are the tables of ``shared``, the MonomialPart of I's
-    monomial generators, and callers read them through it
-    (``cache.shared.std(d)``). The part is shared through the monomial_part
-    memo with every engine of an equal monomial part, in any characteristic.
-    A monomial ideal reads its Hilbert profile from the part too
-    (``MonomialPart.profile``).
+    field either: they are the tables of ``shared``, the MonomialPart of I's
+    monomial generators, read through it (``cache.shared.std(d)``) and
+    shared through the monomial_part memo with every engine of an equal
+    monomial part, in any characteristic. A monomial ideal reads its Hilbert
+    profile from the part too (``MonomialPart.profile``).
     """
 
     def __init__(self, I: HomogeneousIdeal, field: FieldSpec):
