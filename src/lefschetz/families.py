@@ -13,7 +13,8 @@ from math import comb
 
 from .fields import FieldSpec
 from .ideals import HomogeneousIdeal
-from .rings import HomogeneousPolynomial, degree_monomials, linear_form, poly_mul
+from .rings import (HomogeneousPolynomial, degree_monomials, linear_form,
+                    poly_mul, poly_pow)
 
 GENERAL_FORM_COEFF_RANGE = 50
 
@@ -151,7 +152,6 @@ def make_ideal(spec: FamilySpec, field: FieldSpec) -> HomogeneousIdeal:
     if isinstance(spec, INJN):
         gens = [_pure_power(4, i, spec.N) for i in range(4)]
         if spec.variant == "power":
-            from .rings import poly_pow
             gens.append(poly_pow(linear_form(4, [1, 1, 1, 1], field), spec.N, field))
         else:
             gens.append(general_form(4, spec.N, field, spec.seed))

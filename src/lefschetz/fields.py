@@ -1,9 +1,12 @@
-"""Exact coefficient fields: the rationals (characteristic 0) and prime fields F_p."""
+"""Exact coefficient fields: the rationals (characteristic 0) and prime fields F_p.
+
+A coefficient is a Python int in either: any integer in char 0, a residue
+once reduced in char p.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 # psi_13, the least strong pseudoprime to every prime base up to 41
@@ -52,25 +55,13 @@ class FieldSpec:
         if p != 0 and not is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
-    def reduce(self, c):
-        """Bring an integer or Fraction into canonical form for this field:
-        unchanged in char 0, a residue in char p."""
-        if self.characteristic == 0:
-            return c
-        p = self.characteristic
-        if isinstance(c, Fraction):
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator {c.denominator} vanishes mod {p}")
-            return c.numerator % p * pow(den, p - 2, p) % p
-        return c % p
-
-    def inv(self, a):
-        if self.characteristic == 0:
-            return Fraction(1) / a
-        if a % self.characteristic == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.characteristic - 2, self.characteristic)
+    def reduce(self, c: int) -> int:
+        """Bring an integer coefficient into canonical form for this field:
+        unchanged in char 0, a residue in char p. ValueError for any other
+        number, such as a Fraction or a float."""
+        if not isinstance(c, int):
+            raise ValueError(f"coefficient {c!r} is not an integer")
+        return c % self.characteristic if self.characteristic else c
 
 
 QQ = FieldSpec(0)

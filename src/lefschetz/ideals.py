@@ -64,7 +64,7 @@ from math import factorial, prod
 from operator import add, le, lt
 
 from .fields import QQ, FieldSpec
-from .matrices import IntRowEchelon, clear_denominators, unit_split
+from .matrices import IntRowEchelon, unit_split
 from .rings import (HomogeneousPolynomial, degree_monomials,
                     parse_generators, poly_add, poly_mul, poly_pow)
 
@@ -458,8 +458,8 @@ class SliceCache:
         _require_nonzero(I.generators, field)
         self.I = I
         self.field = field
-        # (degree, terms scaled once) of each polynomial generator
-        self.poly_gens = [(g.degree, self._scaled_terms(g))
+        # (degree, terms) of each polynomial generator
+        self.poly_gens = [(g.degree, g.terms.items())
                           for g in I.generators if not g.is_term]
         self.shared = monomial_part(
             I.num_vars, tuple(sorted(set(I.monomial_generators))))
@@ -482,11 +482,10 @@ class SliceCache:
         return row
 
     def slice_rows(self, d: int) -> list:
-        """Sparse integer (char 0) or residue (char p) rows spanning the
-        non-monomial part of the ideal slice in degree d, projected to
-        standard monomials: the nonempty rows g*m of ``_slice_rows``, for
-        each polynomial generator g, scaled as in multiple_rows, and m in
-        std(d - deg g). A non-standard m gives an empty row (every term of
+        """Sparse integer rows spanning the non-monomial part of the ideal
+        slice in degree d, projected to standard monomials: the nonempty
+        rows g*m of ``_slice_rows``, for each polynomial generator g and m
+        in std(d - deg g). A non-standard m gives an empty row (every term of
         g*m lies in the monomial part), and so do many standard ones in
         high degrees; neither is kept."""
         return list(_slice_rows(self.poly_gens, self.shared, d))
@@ -495,12 +494,11 @@ class SliceCache:
                       d: int) -> list:
         """The rows of poly*m, one for each m in monomials, in that order, as
         {column: entry} dicts on the degree-d standard monomials (empty where
-        the product lies in the monomial part), with poly scaled once (see
-        _scaled_terms): the rows span the same space as the unscaled ones. A
-        form in another number of variables raises ValueError."""
+        the product lies in the monomial part). A form in another number of
+        variables raises ValueError."""
         self.require_same_ring(poly)
-        return list(_product_rows(self._scaled_terms(poly), monomials,
-                                 self.shared.index(d)))
+        return list(_product_rows(poly.terms.items(), monomials,
+                                  self.shared.index(d)))
 
     def require_same_ring(self, poly: HomogeneousPolynomial):
         """ValueError for a polynomial in another number of variables than
@@ -508,15 +506,6 @@ class SliceCache:
         if poly.num_vars != self.I.num_vars:
             raise ValueError(f"a polynomial in {poly.num_vars} variables for "
                              f"an ideal in {self.I.num_vars}")
-
-    def _scaled_terms(self, poly: HomogeneousPolynomial) -> list:
-        """(exponent, coefficient) pairs of a nonzero multiple of poly with
-        integer coefficients: the primitive integer form in char 0, the
-        nonzero residues in char p."""
-        if self.field.characteristic:
-            reduced = [(e, self.field.reduce(c)) for e, c in poly.terms.items()]
-            return [(e, c) for e, c in reduced if c]
-        return list(zip(poly.terms, clear_denominators(poly.terms.values())))
 
     def dim(self, d: int) -> int:
         """dim (R/I)_d: for a monomial ideal the part's count of standard
@@ -648,38 +637,32 @@ def restrict_modulo_linear(I: HomogeneousIdeal, L: HomogeneousPolynomial,
                            pivot: int, field: FieldSpec) -> HomogeneousIdeal:
     """Image of I in R/(L) = K[x_1,..,x_r minus the pivot variable].
 
-    The pivot variable is eliminated by solving L = 0; generators are
-    re-expanded and zero generators dropped. Each is normalized to lead
-    coefficient 1 in char p, and in char 0 to its primitive integer form
-    with a positive lead coefficient.
+    The pivot variable is eliminated by solving L = 0 with no division: a
+    term c*m*x_pivot^k of a generator g goes to c * c_pivot^(deg g - k) * m
+    * (-sum c_i*x_i)^k, which is c_pivot^(deg g) times its image. Zero
+    generators are dropped, and each other is normalized: monic in char p,
+    and in char 0 primitive with a positive lead coefficient.
     """
     r = I.num_vars
     e_pivot = tuple(1 if j == pivot else 0 for j in range(r))
-    c_pivot = L.terms.get(e_pivot)
+    c_pivot = field.reduce(L.terms.get(e_pivot, 0))
     if not c_pivot:
         raise ValueError("pivot coefficient of the linear form is zero")
-    # substitution: x_pivot = sum over other vars of s_i * x_i (in r-1 vars)
-    subs_terms = {}
-    for e, c in L.terms.items():
-        if e == e_pivot:
-            continue
-        small = _drop_var(e, pivot)
-        subs_terms[small] = field.reduce(-c * field.inv(c_pivot))
-    subst = HomogeneousPolynomial(r - 1, 1, subs_terms)
+    subst = HomogeneousPolynomial.from_terms(r - 1, {
+        _drop_var(e, pivot): field.reduce(-c)
+        for e, c in L.terms.items() if e != e_pivot}, degree=1)
 
     new_gens = []
     for g in I.generators:
         out = HomogeneousPolynomial(r - 1, g.degree, {})
         for e, c in g.terms.items():
             k = e[pivot]
-            base = HomogeneousPolynomial.from_terms(
-                r - 1, {_drop_var(e, pivot): field.reduce(c)}, degree=g.degree - k)
+            n = g.degree - k
+            base = HomogeneousPolynomial.from_terms(r - 1, {
+                _drop_var(e, pivot): field.reduce(c * c_pivot ** n)}, degree=n)
             term = poly_mul(base, poly_pow(subst, k, field), field)
             out = poly_add(out, term, field)
-        out = out.reduced(field).monic(field)
-        if field.characteristic == 0:
-            out = HomogeneousPolynomial(r - 1, g.degree, dict(
-                zip(out.terms, clear_denominators(out.terms.values()))))
+        out = out.normalized(field)
         if not out.is_zero:
             new_gens.append(out)
     return HomogeneousIdeal(r - 1, new_gens)

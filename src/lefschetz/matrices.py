@@ -6,9 +6,9 @@ sparse elimination kernel in Python integers. A row is a dense sequence or
 a ``{column: int}`` dict, the form the slice engine emits; either is read
 into a new dict of its nonzero entries (residues over F_p). Rows are
 reduced against pivots keyed by their lead column, the least column with a
-nonzero entry: monic residues over F_p, and over Q integer rows (with
-denominators cleared) under a fraction-free reduction, so every result is
-exact. Determinants and minor gcds take a matrix as a list of int rows.
+nonzero entry: monic residues over F_p, and over Q primitive integer rows
+under a fraction-free reduction, so every result is exact. Determinants
+and minor gcds take a matrix as a list of int rows.
 
 Rows are reduced in the order they arrive, and a row whose lead column
 holds no entry of the rows before it becomes a pivot unreduced, so the
@@ -311,6 +311,7 @@ def rank_int_rows(rows, ncols: int) -> int:
     return IntRowEchelon(ncols).extend(rows)
 
 
+# no library caller; kept while wlpbench/tracer.py binds it (ROADMAP item 12)
 def clear_denominators(row):
     """Scale a row of ints/Fractions to a primitive integer row.
 

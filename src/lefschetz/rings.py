@@ -8,6 +8,7 @@ lexicographic comparison of exponent tuples.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .fields import FieldSpec
 
@@ -47,8 +48,8 @@ class HomogeneousPolynomial:
     """A homogeneous polynomial: a term dict {exponent tuple: nonzero coeff}.
 
     The zero polynomial carries an explicit degree tag. Coefficients are
-    plain Python numbers in the attached field's canonical form: integers in
-    char 0 (a Fraction only where FieldSpec.inv divided), residues in char p.
+    Python ints, in the attached field's canonical form: any integer in char
+    0, residues in char p. Any other coefficient raises ValueError.
     """
 
     __slots__ = ("num_vars", "degree", "terms")
@@ -60,6 +61,8 @@ class HomogeneousPolynomial:
         for e, c in terms.items():
             if sum(e) != degree:
                 raise ValueError(f"term {e} breaks homogeneity (degree {degree})")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} of {e} is not an integer")
             if not c:
                 raise ValueError("zero coefficient stored in term dict")
 
@@ -100,18 +103,19 @@ class HomogeneousPolynomial:
             self.num_vars, self.degree + sum(expo),
             {mono_mul(e, expo): c for e, c in self.terms.items()})
 
-    def reduced(self, field: FieldSpec) -> "HomogeneousPolynomial":
-        terms = {}
-        for e, c in self.terms.items():
-            c = field.reduce(c)
-            if c:
-                terms[e] = c
-        return HomogeneousPolynomial(self.num_vars, self.degree, terms)
-
-    def monic(self, field: FieldSpec) -> "HomogeneousPolynomial":
+    def normalized(self, field: FieldSpec) -> "HomogeneousPolynomial":
+        """The normal form of the multiples of self: monic in char p, and
+        primitive with a positive lead coefficient in char 0."""
         if self.is_zero:
             return self
-        return self.scaled(field.inv(self.terms[self.leading_monomial()]), field)
+        lead = self.terms[self.leading_monomial()]
+        p = field.characteristic
+        if p:
+            return self.scaled(pow(lead, -1, p), field)
+        g = gcd(*self.terms.values()) * (1 if lead > 0 else -1)
+        return HomogeneousPolynomial(
+            self.num_vars, self.degree,
+            {e: c // g for e, c in self.terms.items()})
 
     def format(self, variables) -> str:
         if self.is_zero:

@@ -213,7 +213,7 @@ def criterion_9():
         if wlp_check(I, f).has_wlp:
             return False, f"WLP unexpectedly holds for p={p}"
         w = kernel_witness(I, f, p - 1)
-        expected = poly_pow(_all_ones(3, f), p - 1, f).monic(f)
+        expected = poly_pow(_all_ones(3, f), p - 1, f).normalized(f)
         if w != expected:
             return False, f"p={p}: witness {w} != all-ones power"
         I2 = parse_ideal(

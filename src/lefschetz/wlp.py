@@ -63,7 +63,6 @@ from dataclasses import dataclass
 
 from .fields import FieldSpec
 from .ideals import HomogeneousIdeal, SliceCache
-from .matrices import clear_denominators
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
 DEFAULT_SEED = 0xC0C0A
@@ -298,8 +297,10 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     """A nonzero degree-d kernel element of multiplication by the linear
     form, all-ones by default, on (R/I)_d, or None if it is injective.
 
-    The returned element is re-verified: nonzero modulo the degree-d slice,
-    with its image inside the degree-(d+1) slice span."""
+    The returned element is normalized (HomogeneousPolynomial.normalized):
+    monic in char p, and in char 0 the primitive integer element with a
+    positive lead coefficient. It is re-verified: nonzero modulo the
+    degree-d slice, with its image inside the degree-(d+1) slice span."""
     cache = SliceCache(I, field)
     L = form if form is not None else _all_ones(I.num_vars, field)
     _require_forms(cache, [L])
@@ -315,7 +316,7 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
             continue  # lies in the ideal slice: zero in the quotient
         witness = HomogeneousPolynomial.from_terms(
             I.num_vars, {m: c for m, c in zip(std_d, vec) if c}, degree=d)
-        witness = witness.monic(field)  # first coordinate in canonical order 1
+        witness = witness.normalized(field)
         _verify_witness(cache, witness, L, d, field)
         return witness
     return None
@@ -324,15 +325,8 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
 def _verify_witness(cache: SliceCache, witness, L, d: int, field: FieldSpec):
     """Re-check a witness independently of the rows it was found from: its
     coordinates and those of L*witness come from project and poly_mul."""
-    if not any(cache.echelon(d).reduce(_coords(cache, witness, d))):
+    if not any(cache.echelon(d).reduce(cache.project(witness, d))):
         raise AssertionError("kernel witness lies in the ideal slice")
-    image = _coords(cache, poly_mul(L, witness, field), d + 1)
+    image = cache.project(poly_mul(L, witness, field), d + 1)
     if any(cache.echelon(d + 1).reduce(image)):
         raise AssertionError("kernel witness image escapes the ideal slice")
-
-
-def _coords(cache: SliceCache, poly: HomogeneousPolynomial, d: int) -> list:
-    """Coordinates of poly on the degree-d standard monomials, in the
-    echelons' arithmetic: integers in char 0, residues in char p."""
-    row = [cache.field.reduce(a) for a in cache.project(poly, d)]
-    return row if cache.field.characteristic else clear_denominators(row)

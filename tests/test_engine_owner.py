@@ -7,7 +7,6 @@ answered wrongly."""
 
 import pytest
 
-from lefschetz import ideals
 from lefschetz.families import Jr, LevelAci, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import (HilbertProfile, NotArtinianError, SliceCache,
@@ -125,23 +124,3 @@ def test_generator_vanishing_in_the_decision_field_rejected():
         assert str(exc.value) == str(parsed.value)
     assert wlp_check(I, GF(5)).has_wlp  # 3 is a unit mod 5
 
-
-def test_kernel_witness_scales_its_form_once(monkeypatch):
-    """One multiple_rows call for the form's rows: beyond what the engine's
-    echelons need, one clear_denominators call (there were 71, one per
-    row)."""
-    calls = []
-    clear = ideals.clear_denominators
-
-    def counted(row):
-        calls.append(row)
-        return clear(row)
-
-    monkeypatch.setattr(ideals, "clear_denominators", counted)
-    I = make_ideal(Jr(5), QQ)
-    cache = SliceCache(I, QQ)
-    cache.echelon(4), cache.echelon(5)
-    engine_calls = len(calls)
-    calls.clear()
-    assert kernel_witness(I, QQ, 4) is None
-    assert len(calls) == engine_calls + 1

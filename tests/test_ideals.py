@@ -381,6 +381,17 @@ def test_restriction_drops_variable():
     assert tuple(hilbert_profile(Ibar, QQ)) == (1, 2, 3, 1)
 
 
+@pytest.mark.parametrize("field, last", [
+    (QQ, "x^3 + x^2*y - 2*y^3"), (GF(5), "x^3 + x^2*y + 3*y^3")])
+def test_restriction_with_a_non_unit_pivot_coefficient(field, last):
+    # z -> -(x + y)/2, each generator scaled by 2^(its degree): no division
+    I = ideal("x^3,y^3,z^3,x^2*z+y^3", field)
+    L = linear_form(3, [1, 1, 2], field)
+    Ibar = restrict_modulo_linear(I, L, 2, field)
+    assert [g.format(["x", "y"]) for g in Ibar.generators] == [
+        "x^3", "y^3", "x^3 + 3*x^2*y + 3*x*y^2 + y^3", last]
+
+
 @pytest.mark.parametrize("gens", ["x^3,y^3,z^3,x*y*z",
                                   "x^4,y^4,z^3,x*y^2*z",
                                   "x^4,y^4,z^4,2*x^2*y^2-3*x*y*z^2+z^4"])

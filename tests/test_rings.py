@@ -36,7 +36,19 @@ def test_monomial_format():
 
 def test_parse_single_monomial():
     (g,) = parse_generators("x^3", XYZ, QQ)
-    assert g.terms == {(3, 0, 0): Fraction(1)}
+    assert g.terms == {(3, 0, 0): 1}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_non_integer_coefficients_are_rejected(field):
+    # linear_form(3, [0.5, 1, 1], field) used to be built, and wlp_check
+    # then died of an AttributeError in char 0 or a TypeError from pow
+    with pytest.raises(ValueError, match=r"coefficient 0\.5 "):
+        linear_form(3, [0.5, 1, 1], field)
+    with pytest.raises(ValueError, match=r"coefficient Fraction\(1, 2\) "):
+        HomogeneousPolynomial.from_terms(3, {(1, 0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"coefficient 1\.5 "):
+        HomogeneousPolynomial.monomial(3, (1, 0, 0)).scaled(1.5, field)
 
 
 def test_parse_product_and_sum():
