@@ -38,7 +38,7 @@ FAMILY_FLAGS = tuple(dict.fromkeys(
     flag for _, flags in FAMILIES.values() for flag in flags))
 
 # --strategy name -> the forms it tries, of (ideal, field, trials=, seed=)
-STRATEGIES = {"allones": lambda I, f: [_all_ones(I.num_vars, f)],
+STRATEGIES = {"allones": lambda I, f: [_all_ones(I.num_vars)],
               "random": lambda I, f, **kw: _random_forms(I.num_vars, f, **kw),
               "paper": candidate_forms}
 

@@ -71,10 +71,14 @@ from .rings import (HomogeneousPolynomial, degree_monomials,
 
 @dataclass
 class HomogeneousIdeal:
-    """A homogeneous ideal, given by a generator list in r variables."""
+    """A homogeneous ideal, given by a generator list in r variables, split
+    once: the sorted distinct exponents of the single-term generators (the
+    monomial_part memo's key), and the list of the others."""
 
     num_vars: int
     generators: list
+    monomial_generators: tuple = dfield(init=False, repr=False)
+    polynomial_generators: list = dfield(init=False, repr=False)
     is_monomial: bool = dfield(init=False)
 
     def __post_init__(self):
@@ -86,16 +90,11 @@ class HomogeneousIdeal:
                                  "whose quotient is zero")
             if g.num_vars != self.num_vars:
                 raise ValueError("generator variable count mismatch")
-        self.is_monomial = all(g.is_term for g in self.generators)
-
-    @property
-    def monomial_generators(self) -> list:
-        """Exponent tuples of the single-term generators."""
-        return [g.leading_monomial() for g in self.generators if g.is_term]
-
-    @property
-    def polynomial_generators(self) -> list:
-        return [g for g in self.generators if not g.is_term]
+        self.monomial_generators = tuple(sorted(
+            {g.leading_monomial() for g in self.generators if g.is_term}))
+        self.polynomial_generators = [g for g in self.generators
+                                      if not g.is_term]
+        self.is_monomial = not self.polynomial_generators
 
 
 class NotArtinianError(ValueError):
@@ -460,9 +459,8 @@ class SliceCache:
         self.field = field
         # (degree, terms) of each polynomial generator
         self.poly_gens = [(g.degree, g.terms.items())
-                          for g in I.generators if not g.is_term]
-        self.shared = monomial_part(
-            I.num_vars, tuple(sorted(set(I.monomial_generators))))
+                          for g in I.polynomial_generators]
+        self.shared = monomial_part(I.num_vars, I.monomial_generators)
         self._ech: dict[int, IntRowEchelon] = {}
         self._reason: str | None = None
         self._profile: HilbertProfile | None = None

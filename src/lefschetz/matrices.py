@@ -48,8 +48,8 @@ Unit split (``unit_split``). Reduce integer rows A over Z in order, each
 against the pivots stored so far, keeping a remainder as a pivot only when
 its lead entry is +-1 (negated to +1); every other nonzero remainder is set
 aside in the core. At the end each core row is cleared of the pivot
-columns, in ascending column order: a pivot is zero left of its lead, so
-clearing column j leaves the columns before it as they were.
+columns in one ascending pass: a pivot is zero left of its lead, so
+clearing column j changes only later columns and no later pivot refills j.
 
 Lemma. With P the k pivots and C' the cleared core, rank_F(A) = k +
 rank_F(C') in every field F, Q and each F_p alike.
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from copy import copy
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 from .fields import MILLER_RABIN_BOUND, is_prime
@@ -286,22 +285,17 @@ def unit_split(rows, ncols: int) -> tuple[int, list]:
             pivots[piv[0][0]] = [(k, -v) for k, v in piv]
         else:
             core.append(rem)
+    leads = sorted(pivots)
     for rem in core:
-        todo = [j for j in rem if j in pivots]
-        heapify(todo)
-        while todo:
-            j = heappop(todo)
+        for j in leads:
             c = rem.get(j)
-            if not c:
-                continue  # cancelled since it was pushed
-            for k, v in pivots[j]:
-                x = rem.get(k, 0) - c * v
-                if not x:
-                    del rem[k]
-                    continue
-                if k not in rem and k in pivots:
-                    heappush(todo, k)
-                rem[k] = x
+            if c:
+                for k, v in pivots[j]:
+                    x = rem.get(k, 0) - c * v
+                    if x:
+                        rem[k] = x
+                    else:
+                        del rem[k]
     return len(pivots), [rem for rem in core if rem]
 
 

@@ -277,7 +277,7 @@ class _Parser:
             poly = self.parse_term()
             self._expect(")")
             return poly_pow(poly, self._maybe_power(), self.field)
-        if ch.isdigit():
+        if ch.isdecimal():
             n = self._read_int()
             c = self.field.reduce(n)
             terms = {(0,) * self.num_vars: c} if c else {}
@@ -305,7 +305,7 @@ class _Parser:
     def _read_int(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise ParseError("expected integer", start)
@@ -320,5 +320,10 @@ class _Parser:
 
 
 def parse_generators(text: str, variables, field: FieldSpec):
-    """Parse a comma-separated generator list; raises ParseError on bad input."""
-    return _Parser(text, variables, field).parse_ideal()
+    """Parse a comma-separated generator list; raises ParseError on bad input,
+    parentheses nested past Python's recursion limit included."""
+    parser = _Parser(text, variables, field)
+    try:
+        return parser.parse_ideal()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None

@@ -213,7 +213,7 @@ def criterion_9():
         if wlp_check(I, f).has_wlp:
             return False, f"WLP unexpectedly holds for p={p}"
         w = kernel_witness(I, f, p - 1)
-        expected = poly_pow(_all_ones(3, f), p - 1, f).normalized(f)
+        expected = poly_pow(_all_ones(3), p - 1, f).normalized(f)
         if w != expected:
             return False, f"p={p}: witness {w} != all-ones power"
         I2 = parse_ideal(
@@ -303,7 +303,7 @@ def criterion_12():
 
     for gens in ("x^3,y^3,z^3,x*y*z", "x^4,y^4,z^3,x*y^2*z"):
         I = parse_ideal(gens, XYZ, QQ)
-        L = _all_ones(3, QQ)
+        L = _all_ones(3)
         hbar = hilbert_profile(restrict_modulo_linear(I, L, 2, QQ), QQ)
         for d in range(0, hilbert_profile(I).socle_degree + 1):
             data = mult_map_rank(I, L, d, QQ)

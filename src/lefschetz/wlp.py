@@ -44,12 +44,15 @@ Candidate forms: wlp_check tries the given forms in order, each distinct
 form once, and any success certifies the WLP. By default it tries
 candidate_forms, the paper's search: the all-ones form alone for a
 monomial ideal, else the all-ones form, recognized special forms and
-seeded random forms. A failing search reports its last form (reports,
-failure degrees, form_used); each earlier one stops at its first computed
-degree that is not maximal, usually the first step with h_d >= h_{d+1}.
-A failure is conclusive when the forms tried include those of a proof:
-all-ones for a monomial ideal (MMN Prop. 2.2), every recognized special
-form of J_r for r in _PROVEN_SPECIAL_R.
+seeded random forms. The all-ones form x_1 + ... + x_r has the same terms
+in every field, so it is one object, ``_all_ones(r)``, in all. A form
+equal to it, such as 8(x_1 + x_2 + x_3) over F_7, is taken as it. A
+failing search reports its last form (reports, failure degrees,
+form_used); each earlier one stops at its first computed degree that is
+not maximal, usually the first step with h_d >= h_{d+1}. A failure is
+conclusive when the forms tried include those of a proof: all-ones for a
+monomial ideal (MMN Prop. 2.2), every recognized special form of J_r for r
+in _PROVEN_SPECIAL_R.
 
 Each public function builds and reads one slice engine: NotArtinianError
 for a non-Artinian R/I, ValueError for a form not linear or in another
@@ -60,8 +63,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 from .ideals import HomogeneousIdeal, SliceCache
 from .rings import HomogeneousPolynomial, linear_form, poly_mul
 
@@ -129,14 +133,10 @@ def _map_rank(cache: SliceCache, F: HomogeneousPolynomial, d: int,
     return ech.extend(rows) - slice_rank
 
 
-def _all_ones(r: int, field: FieldSpec) -> HomogeneousPolynomial:
-    return linear_form(r, [1] * r, field)
-
-
-def _is_all_ones(F: HomogeneousPolynomial) -> bool:
-    """Whether F is x_1 + ... + x_r, in its r variables."""
-    return (F.degree == 1 and len(F.terms) == F.num_vars
-            and all(c == 1 for c in F.terms.values()))
+@lru_cache(maxsize=None)
+def _all_ones(r: int) -> HomogeneousPolynomial:
+    """x_1 + ... + x_r, the same in every field: one object, never mutated."""
+    return linear_form(r, [1] * r, QQ)
 
 
 def _recognized_special_forms(I: HomogeneousIdeal, field: FieldSpec) -> list:
@@ -199,7 +199,7 @@ def _verdict_for_form(cache, L, last=True) -> WLPVerdict:
     D = profile.socle_degree
     p = cache.field.characteristic
     monomial = cache.I.is_monomial
-    part = cache.shared if monomial and _is_all_ones(L) else None
+    part = cache.shared if monomial and L == _all_ones(L.num_vars) else None
     ranks = {}
     read = set()  # degrees whose rank was read from an earlier split
 
@@ -245,8 +245,8 @@ def candidate_forms(I: HomogeneousIdeal, field: FieldSpec,
     ValueError for trials < 1."""
     r = I.num_vars
     if I.is_monomial and trials >= 1:  # else _random_forms refuses trials
-        return [_all_ones(r, field)]
-    return _distinct([_all_ones(r, field)]
+        return [_all_ones(r)]
+    return _distinct([_all_ones(r)]
                      + _recognized_special_forms(I, field)
                      + _random_forms(r, field, trials, seed))
 
@@ -284,7 +284,7 @@ def wlp_check(I: HomogeneousIdeal, field: FieldSpec, forms=None) -> WLPVerdict:
             return verdict
     # every form failed: conclusive if they include the forms of a proof
     if I.is_monomial:  # all-ones decides the WLP (MMN Prop. 2.2)
-        verdict.conclusive = any(map(_is_all_ones, forms))
+        verdict.conclusive = _all_ones(I.num_vars) in forms
     else:  # every special form of J_r, r proven: if tried, none is new
         special = _recognized_special_forms(I, field)
         verdict.conclusive = (I.num_vars in _PROVEN_SPECIAL_R and bool(special)
@@ -302,7 +302,7 @@ def kernel_witness(I: HomogeneousIdeal, field: FieldSpec, d: int,
     positive lead coefficient. It is re-verified: nonzero modulo the
     degree-d slice, with its image inside the degree-(d+1) slice span."""
     cache = SliceCache(I, field)
-    L = form if form is not None else _all_ones(I.num_vars, field)
+    L = form if form is not None else _all_ones(I.num_vars)
     _require_forms(cache, [L])
     cache.require_artinian()
     if not cache.dim(d):

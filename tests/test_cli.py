@@ -197,6 +197,18 @@ def test_usage_error_bad_gens(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("gens, message", [
+    ("(" * 1200 + "x" + ")" * 1200 + ",y", "expression nested too deeply"),
+    ("x^\u00b2,y", "expected integer")], ids=["nested", "superscript"])
+def test_usage_error_gens_the_parser_rejects(capsys, gens, message):
+    # these ended in a RecursionError traceback and in int()'s own message
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--gens", gens, "--vars", "x,y"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["hilbert", "--gens", "x^2,y^3", "--vars", "x,y,z"],
      "variable index 2 has no pure power"),

@@ -13,6 +13,7 @@ forms tried include those of a proof."""
 import pytest
 
 from lefschetz import wlp
+from lefschetz.cli import STRATEGIES
 from lefschetz.families import INJN, Irr, Jr, make_ideal
 from lefschetz.fields import GF, QQ
 from lefschetz.ideals import parse_ideal
@@ -52,7 +53,7 @@ def search_order(I, field) -> list:
     """The distinct forms of the paper's search on a non-monomial ideal, in
     the order they are tried."""
     r = I.num_vars
-    forms = ([wlp._all_ones(r, field)]
+    forms = ([wlp._all_ones(r)]
              + wlp._recognized_special_forms(I, field)
              + wlp._random_forms(r, field, DEFAULT_TRIALS, DEFAULT_SEED))
     distinct = {}
@@ -115,7 +116,21 @@ def test_candidate_forms_are_the_search_order(name, ch):
 
 def test_a_monomial_ideal_is_searched_by_the_all_ones_form_alone():
     I = make_ideal(Irr(4), QQ)
-    assert candidate_forms(I, QQ) == [wlp._all_ones(4, QQ)]
+    assert candidate_forms(I, QQ) == [wlp._all_ones(4)]
+
+
+def test_the_all_ones_form_is_one_object_for_every_caller():
+    """x_1 + ... + x_r has the same terms in every field, so a monomial
+    ideal's search, the allones strategy and their verdicts hold the one
+    _all_ones(r) in every field."""
+    ones = wlp._all_ones(3)
+    assert wlp._all_ones(3) is ones
+    for field in (QQ, GF(2), GF(7)):
+        I, J = make_ideal(Irr(3), field), make_ideal(Jr(3), field)
+        assert candidate_forms(I, field)[0] is ones
+        assert STRATEGIES["allones"](J, field)[0] is ones
+        assert wlp_check(I, field).form_used is ones
+        assert wlp_check(J, field, [ones]).form_used is ones
 
 
 @pytest.mark.parametrize("make", [lambda f: make_ideal(Irr(3), f),
@@ -145,7 +160,7 @@ def test_random_forms_are_tried_on_a_monomial_ideal():
     """Irr(4) fails the WLP in char 0 at degree 5. Random forms fail too,
     but without the all-ones form they prove nothing (MMN Prop. 2.2)."""
     I = make_ideal(Irr(4), QQ)
-    ones = wlp._all_ones(4, QQ)
+    ones = wlp._all_ones(4)
     drawn = wlp._random_forms(4, QQ, 9, 3)
     v = wlp_check(I, QQ, forms=drawn)
     assert (v.has_wlp, v.failure_degrees) == (False, [5])

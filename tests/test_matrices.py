@@ -217,3 +217,17 @@ def test_unit_split_clears_the_pivot_columns_from_the_core():
     assert (k, core) == (1, [{0: 2}])
     assert k + mod_rank(core, 2, 2) == mod_rank(rows, 2, 2) == 1
     assert k + rank_int_rows(core, 2) == 2
+
+
+def test_unit_split_clears_a_pivot_column_an_earlier_clearing_fills():
+    """C = [2 0 1] goes to the core before the pivots P0 = [1 1 0] and
+    P1 = [0 1 1] arrive. Clearing column 0 takes C to [0 -2 1], which fills
+    column 1, P1's lead; clearing that gives [0 0 3]. The rows have det 3:
+    rank 3 over Q, F_2 and F_5, and 2 over F_3, where the core [0 -2 1],
+    left uncleared of column 1, would add 1."""
+    rows = [[2, 0, 1], [1, 1, 0], [0, 1, 1]]
+    k, core = unit_split(rows, 3)
+    assert (k, core) == (2, [{2: 3}])
+    assert k + rank_int_rows(core, 3) == rank_int_rows(rows, 3) == 3
+    for p, rank in ((2, 3), (3, 2), (5, 3)):
+        assert k + mod_rank(core, 3, p) == mod_rank(rows, 3, p) == rank, p

@@ -87,6 +87,22 @@ def test_parse_rejects_trailing_junk():
         parse_generators("x^2 )", XYZ, QQ)
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "\u00b2*x", "x^1\u00b2"],
+                         ids=["power", "coefficient", "trailing"])
+def test_parse_rejects_digits_int_does_not_read(text):
+    # str.isdigit accepts a superscript two, which int() does not read:
+    # these ended in int()'s own ValueError
+    with pytest.raises(ParseError):
+        parse_generators(text, XYZ, QQ)
+
+
+def test_parse_rejects_nesting_past_the_recursion_limit():
+    # this ended in a RecursionError
+    text = "(" * 1200 + "x" + ")" * 1200 + ",y"
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_generators(text, XYZ, QQ)
+
+
 def test_parse_mod_p_coefficient_collapse():
     f = GF(3)
     (g,) = parse_generators("3*x^2 + y^2", XYZ, f)

@@ -196,6 +196,49 @@ def test_equal_monomial_parts_share_one_profile():
 XYZ = ["x", "y", "z"]
 
 
+def test_generators_in_any_order_share_one_part():
+    """An ideal splits its generators once, when it is built:
+    monomial_generators is the sorted distinct tuple, the memo key, so
+    ideals that list them in another order, or one twice, share one part
+    in every field, with or without a polynomial generator."""
+    monomial_part.cache_clear()
+    gens = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
+    I = _ideal_of(3, gens)
+    J = _ideal_of(3, gens[::-1] + [gens[1]])
+    assert I.monomial_generators == J.monomial_generators == tuple(
+        sorted(gens))
+    assert I.polynomial_generators == J.polynomial_generators == []
+    part = SliceCache(I, QQ).shared
+    for field in FIELDS:
+        K = parse_ideal("z^3,x*y*z,x^3,y^3,x^3,x^2*y+z^3", XYZ, field)
+        assert K.monomial_generators == I.monomial_generators
+        assert len(K.polynomial_generators) == 1 and not K.is_monomial
+        assert SliceCache(J, field).shared is part
+        assert SliceCache(K, field).shared is part
+
+
+def test_a_multiple_of_the_all_ones_form_reads_the_part():
+    """8(x + y + z) is x + y + z over GF(7), the all-ones form: its failure
+    on Irr(3) is conclusive (MMN Prop. 2.2), and its ranks split the part,
+    which a decision in a second field reads. Over QQ it is another form,
+    whose failure proves nothing and which splits nothing."""
+    monomial_part.cache_clear()
+    I = make_ideal(Irr(3), QQ)
+    part = SliceCache(I, QQ).shared
+    v = wlp_check(I, QQ, forms=[linear_form(3, [8, 8, 8], QQ)])
+    assert (v.failure_degrees, v.conclusive, part.all_ones) == ([2], False,
+                                                                {})
+    field = GF(7)
+    v = wlp_check(make_ideal(Irr(3), field), field,
+                  forms=[linear_form(3, [8, 8, 8], field)])
+    assert (v.failure_degrees, v.conclusive) == ([2], True)
+    computed = [r.d for r in v.reports if r.path == COMPUTED]
+    assert computed == sorted(part.all_ones) == [1, 2, 3]
+    field = GF(5)
+    v = wlp_check(make_ideal(Irr(3), field), field)
+    assert [r.path for r in v.reports if r.d in computed] == [INTEGER] * 3
+
+
 def test_non_artinian_part_raises_the_same_reason_in_every_field(
         monkeypatch):
     """(x^2, y^3) in x, y, z has no profile to share: each field makes the

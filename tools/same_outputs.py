@@ -72,6 +72,11 @@ DIR is a checkout of the revision to compare against (for instance a
   and ``wlp --family irkd --r 14 --k 2 --d 4 --char 0 --char 2 --json``
   (over a thousand generators of two or more variables, each a Hilbert
   profile of few standard monomials): exit code and stdout;
+- ``betti --family F``, as text and with ``--json``, for ``Irk(4, 3)``
+  and ``Jr(4)`` (the product family's table) and for ``Aci3(4, 5, 6, 1,
+  2, 3)`` and ``LevelAci(1, 2, 3, 4)`` (the codimension-3 table), and
+  ``betti --family irkd --r 4 --k 2 --d 3``, a family with no table (exit
+  2): exit code and stdout;
 - ``sweep --kind half-conj --max-sum 12 --tspan 4`` in characteristics 0,
   2 and 3, the same sweep in characteristics 3, 2 and 0 (so that the
   field-independent data shared between characteristics is first computed
@@ -104,6 +109,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 HELP = ["hilbert", "wlp", "detm", "witness", "chain", "sweep", "verify-paper"]
+# betti --family F with F's flags: each of the two table formulas of
+# families.betti_table, and each family it maps onto them
+BETTI = [("Irk(4,3)", ["irk", "--r", "4", "--k", "3"]),
+         ("Jr(4)", ["jr", "--r", "4"]),
+         ("Aci3(4,5,6,1,2,3)", ["aci3", "--a", "4", "--b", "5", "--c", "6",
+                                "--alpha", "1", "--beta", "2", "--gamma",
+                                "3"]),
+         ("LevelAci(1,2,3,4)", ["levelaci", "--alpha", "1", "--beta", "2",
+                                "--gamma", "3", "--t", "4"])]
 COMMANDS = ([("lefschetz --help", ["--help"])]
             + [(f"{cmd} --help", [cmd, "--help"]) for cmd in HELP]
             + [("verify-paper", ["verify-paper"])]
@@ -195,7 +209,13 @@ COMMANDS = ([("lefschetz --help", ["--help"])]
                  "--d", str(d), "--json"]) for r, d in ((14, 4), (46, 2))]
             + [("wlp Irkd(14,2,4) chars 0, 2 --json",
                 ["wlp", "--family", "irkd", "--r", "14", "--k", "2", "--d",
-                 "4", "--char", "0", "--char", "2", "--json"])])
+                 "4", "--char", "0", "--char", "2", "--json"])]
+            + [(f"betti {name}{opt}", ["betti", "--family", *flags]
+                + opt.split())
+               for name, flags in BETTI for opt in ("", " --json")]
+            + [("betti Irkd(4,2,3), no table",
+                ["betti", "--family", "irkd", "--r", "4", "--k", "2", "--d",
+                 "3"])])
 HALF_CONJ = ["--kind", "half-conj", "--max-sum", "12", "--tspan", "4"]
 SWEEPS = [("half-conj", HALF_CONJ + ["--char", "0", "--char", "2",
                                      "--char", "3"]),
